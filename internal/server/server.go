@@ -178,20 +178,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 		s.logf("shutdown: drain deadline passed, cancelling in-flight statements")
 		s.cancelBase()
+		// A statement ends once its reply is written: severing the
+		// sessions now also frees any reply stuck on a peer that
+		// stopped reading.
+		s.closeConns()
 		<-done
 		err = ctx.Err()
 	}
 	s.cancelBase()
 
-	// All statements finished: sever the sessions (unblocks reads) and
-	// join their goroutines.
+	// All statements finished and replied: sever the sessions (unblocks
+	// reads) and join their goroutines.
+	s.closeConns()
+	s.connWG.Wait()
+	return err
+}
+
+// closeConns severs every session connection.
+func (s *Server) closeConns() {
 	s.mu.Lock()
 	for c := range s.conns {
 		c.Close()
 	}
 	s.mu.Unlock()
-	s.connWG.Wait()
-	return err
 }
 
 // beginStatement passes the admission gate and registers an in-flight

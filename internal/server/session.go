@@ -27,6 +27,11 @@ type session struct {
 	snap     *gluenail.Snapshot
 	prepared map[string]*gluenail.Prepared
 	budget   gluenail.Budget
+	// finish ends the admitted statement of the request being served. It
+	// runs after the reply is written, so a graceful drain, which waits
+	// for statements and then severs connections, never severs one
+	// between a statement's completion and its reply.
+	finish func()
 }
 
 func newSession(s *Server, conn net.Conn, id uint64) *session {
@@ -58,7 +63,12 @@ func (c *session) serve() {
 		if !resp.OK {
 			c.srv.totals.errors.Add(1)
 		}
-		if err := WriteFrame(c.conn, resp); err != nil {
+		err := WriteFrame(c.conn, resp)
+		if c.finish != nil {
+			c.finish()
+			c.finish = nil
+		}
+		if err != nil {
 			return
 		}
 		if req.Op == "close" {
@@ -133,7 +143,7 @@ func (c *session) dispatch(req *Request) *Response {
 		if werr != nil {
 			return &Response{Err: werr}
 		}
-		defer done()
+		c.finish = done
 		c.srv.totals.writes.Add(1)
 		if err := c.srv.cfg.System.LoadContext(ctx, req.Src); err != nil {
 			return fail(err)
@@ -191,7 +201,7 @@ func (c *session) read(run func(context.Context, *gluenail.Snapshot) (*gluenail.
 	if werr != nil {
 		return &Response{Err: werr}
 	}
-	defer done()
+	c.finish = done
 	c.srv.totals.reads.Add(1)
 
 	snap := c.snap
@@ -233,7 +243,7 @@ func (c *session) write(req *Request) *Response {
 	if werr != nil {
 		return &Response{Err: werr}
 	}
-	defer done()
+	c.finish = done
 	c.srv.totals.writes.Add(1)
 	sys := c.srv.cfg.System
 	if req.Op == "assert" {

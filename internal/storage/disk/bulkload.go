@@ -133,7 +133,7 @@ nextRow:
 		copy(nr, old)
 		nr[len(old)] = rn
 		r.runs.Store(&nr)
-		r.diskLive += hi - lo
+		r.diskLive.Add(int64(hi - lo))
 		r.relMu.Unlock()
 		atomic.AddInt64(&s.stats.RunsFlushed, 1)
 		atomic.AddInt64(&s.stats.RowsSpilled, int64(hi-lo))

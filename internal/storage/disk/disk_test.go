@@ -297,6 +297,55 @@ func TestDiskSnapshotPinsRuns(t *testing.T) {
 	}
 }
 
+// TestSnapshotPlanningRacesWriter plans on a snapshot — the cost profile,
+// cardinality and distinct estimates a session planner reads — while the
+// writer asserts and retracts, flushing memtables into runs. Run with
+// -race: the profile reads the live run and memtable row counts.
+func TestSnapshotPlanningRacesWriter(t *testing.T) {
+	st := openTest(t, t.TempDir(), Options{FlushRows: 16})
+	defer st.Close()
+	rel := st.Ensure(term.Intern("edge"), 2)
+	for i := 0; i < 64; i++ {
+		rel.Insert(pair(i, i+1))
+	}
+	st.AdvanceCSN()
+	view, err := st.SnapshotView()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer view.(*snapStore).Close()
+	snapRel, _ := view.Get(term.Intern("edge"), 2)
+	coster := snapRel.(storage.Coster)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 64; i < 400; i++ {
+			rel.Insert(pair(i, i+1))
+			if i%3 == 0 {
+				rel.Delete(pair(i-60, i-59))
+			}
+			st.AdvanceCSN()
+		}
+	}()
+	for planning := true; planning; {
+		select {
+		case <-done:
+			planning = false
+		default:
+		}
+		p := coster.CostProfile()
+		if p.Scan < 1 || p.Scan > 8 || p.Lookup < 1 || p.Lookup > 3 {
+			t.Fatalf("cost profile out of range: %+v", p)
+		}
+		_ = snapRel.DistinctEst(0)
+		_ = snapRel.StatsEpoch()
+	}
+	if n := snapRel.Len(); n != 64 {
+		t.Fatalf("snapshot sees %d rows, want 64", n)
+	}
+}
+
 // TestSweepStaleSpillDirs checks the crash-hygiene sweep removes spill
 // directories whose owning process is gone and keeps live ones.
 func TestSweepStaleSpillDirs(t *testing.T) {

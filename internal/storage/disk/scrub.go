@@ -324,7 +324,7 @@ func (s *Store) quarantineRun(r *Rel, rn *run) bool {
 	nl = append(nl, cur[:idx]...)
 	nl = append(nl, cur[idx+1:]...)
 	r.runs.Store(&nl)
-	r.diskLive -= rn.liveNow()
+	r.diskLive.Add(-int64(rn.liveNow()))
 	r.version++
 	r.relMu.Unlock()
 	r.statsEpoch.Add(1)

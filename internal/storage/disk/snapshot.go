@@ -262,7 +262,7 @@ func (r *snapRel) Scan(yield func(term.Tuple) bool) {
 
 // Lookup implements storage.Rel. Run-resident rows are answered by hash
 // probe (full mask) or filtered scan; the captured memtable view brings
-// its own snapshot-local adaptive indexes.
+// the adaptive indexes shared by snapshots of the same memtable header.
 func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	if mask == 0 || r.Len() == 0 {
 		r.Scan(yield)

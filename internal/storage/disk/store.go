@@ -301,8 +301,13 @@ type Rel struct {
 	// runs is copy-on-write: the writer (and the compactor's install)
 	// swaps in a fresh slice; readers and snapshot capture load it
 	// atomically.
-	runs     atomic.Pointer[[]*run]
-	diskLive int // live rows across runs (excludes tombstoned)
+	runs atomic.Pointer[[]*run]
+	// diskLive counts live rows across runs (excludes tombstoned) and
+	// memRows mirrors mem.Len(). Only the writer changes them, but session
+	// planners read both through CostProfile on their snapshots, so both
+	// are atomic.
+	diskLive atomic.Int64
+	memRows  atomic.Int64
 
 	version    uint64
 	statsEpoch atomic.Uint64
@@ -406,7 +411,7 @@ func (s *Store) Drop(name term.Value, arity int) {
 	runs := *r.runs.Load()
 	empty := []*run{}
 	r.runs.Store(&empty)
-	r.diskLive = 0
+	r.diskLive.Store(0)
 	r.relMu.Unlock()
 	s.retireRuns(runs)
 	atomic.AddInt64(&s.stats.RelsDropped, 1)
@@ -522,7 +527,7 @@ func (r *Rel) Name() term.Value { return r.name }
 func (r *Rel) Arity() int { return r.arity }
 
 // Len implements storage.Rel.
-func (r *Rel) Len() int { return r.diskLive + r.mem.Len() }
+func (r *Rel) Len() int { return int(r.diskLive.Load()) + r.mem.Len() }
 
 // MemRows implements storage.MemResident: only the memtable is resident.
 func (r *Rel) MemRows() int { return r.mem.Len() }
@@ -548,10 +553,11 @@ func (r *Rel) DistinctEst(col int) int { return r.dist.Estimate(col) }
 // CostProfile implements storage.Coster: access costs scale with the
 // fraction of rows that live on disk rather than in the memtable.
 func (r *Rel) CostProfile() storage.CostProfile {
-	total := r.diskLive + r.mem.Len()
+	disk := r.diskLive.Load()
+	total := disk + r.memRows.Load()
 	frac := 0.0
 	if total > 0 {
-		frac = float64(r.diskLive) / float64(total)
+		frac = float64(disk) / float64(total)
 	}
 	return storage.CostProfile{
 		Engine: "disk",
@@ -581,6 +587,7 @@ func (r *Rel) Insert(t term.Tuple) bool {
 	if !r.mem.Insert(t) {
 		return false
 	}
+	r.memRows.Add(1)
 	r.dist.Add(t)
 	r.version++
 	r.noteEpoch()
@@ -604,6 +611,7 @@ func (r *Rel) Insert(t term.Tuple) bool {
 func (r *Rel) Delete(t term.Tuple) bool {
 	r.st.checkWritable()
 	if r.mem.Delete(t) {
+		r.memRows.Add(-1)
 		r.dist.Remove(t)
 		r.version++
 		r.noteEpoch()
@@ -638,7 +646,7 @@ func (r *Rel) Delete(t term.Tuple) bool {
 				continue
 			}
 			rn.setTomb(slot, r.deadStamp())
-			r.diskLive--
+			r.diskLive.Add(-1)
 			r.version++
 			r.noteEpoch()
 			r.dist.Remove(u)
@@ -667,10 +675,11 @@ func (r *Rel) Clear() {
 	runs := *r.runs.Load()
 	empty := []*run{}
 	r.runs.Store(&empty)
-	r.diskLive = 0
+	r.diskLive.Store(0)
 	r.relMu.Unlock()
 	r.st.retireRuns(runs)
 	r.mem.Clear() // journal-free: the memtable has no journal attached
+	r.memRows.Store(0)
 	r.dist.Reset()
 	r.version++
 	r.statsEpoch.Add(1)
@@ -734,10 +743,11 @@ func (r *Rel) flush(sync bool) error {
 	copy(nr, old)
 	nr[len(old)] = rn
 	r.runs.Store(&nr)
-	r.diskLive += len(rows)
+	r.diskLive.Add(int64(len(rows)))
 	nruns := len(nr)
 	r.relMu.Unlock()
 	r.mem = storage.NewRelationCSN(r.name, r.arity, r.st.opts.Policy, r.st.stats, &r.st.commitCSN)
+	r.memRows.Store(0)
 	// Run indexes no longer cover every run-resident row: rebuild on
 	// demand.
 	r.ixMu.Lock()
@@ -801,7 +811,7 @@ func (r *Rel) Contains(t term.Tuple) bool {
 // Scan implements storage.Rel: runs in flush order, then the memtable —
 // global insertion order, matching the main-memory engine.
 func (r *Rel) Scan(yield func(term.Tuple) bool) {
-	atomic.AddInt64(&r.st.stats.RowsScanned, int64(r.diskLive))
+	atomic.AddInt64(&r.st.stats.RowsScanned, r.diskLive.Load())
 	for _, rn := range *r.runs.Load() {
 		more, err := rn.scan(r.st.cache, r.st.stats, nil, yield)
 		if err != nil {
@@ -851,7 +861,7 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 		r.mem.Lookup(mask, key, yield)
 		return
 	}
-	if r.diskLive == 0 {
+	if r.diskLive.Load() == 0 {
 		r.mem.Lookup(mask, key, yield)
 		return
 	}
@@ -874,7 +884,7 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 		r.mem.Lookup(mask, key, yield)
 		return
 	}
-	atomic.AddInt64(&r.st.stats.RowsScanned, int64(r.diskLive))
+	atomic.AddInt64(&r.st.stats.RowsScanned, r.diskLive.Load())
 	stopped := false
 	for _, rn := range *r.runs.Load() {
 		more, err := rn.scan(r.st.cache, r.st.stats, nil, func(t term.Tuple) bool {
@@ -898,7 +908,7 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 // layers so parallel readers find published indexes.
 func (r *Rel) PrepareRead(mask uint32, lookups int) {
 	r.mem.PrepareRead(mask, lookups)
-	if mask == 0 || mask == r.fullMask() || r.diskLive == 0 || lookups <= 0 {
+	if mask == 0 || mask == r.fullMask() || r.diskLive.Load() == 0 || lookups <= 0 {
 		return
 	}
 	if r.runIx(mask) != nil {
@@ -956,7 +966,7 @@ func (r *Rel) creditRunScan(mask uint32, scans int64) *sync.Once {
 		}
 		r.ixMu.Unlock()
 	}
-	n := int64(r.diskLive)
+	n := r.diskLive.Load()
 	if c.Add(scans*n) >= 2*n {
 		return r.runIxGuard(mask)
 	}
@@ -1320,7 +1330,7 @@ func (s *Store) loadManifest() error {
 			s.durable[seq] = true
 		}
 		r.runs.Store(&runs)
-		r.diskLive = live
+		r.diskLive.Store(int64(live))
 		r.epochRows = live
 	}
 	if runSeq > s.runSeq {

@@ -377,12 +377,17 @@ type Relation struct {
 	// flight will commit as. A standalone relation (nil csn) stamps
 	// deadForever — correct for a relation that is never snapshotted.
 	csn *atomic.Uint64
-	// buckets chains tuples by whole-tuple hash without per-bucket slice
-	// allocations: buckets[h] holds slot+1 of the most recently inserted
-	// tuple hashing to h (0 = none), and next[i] holds the slot+1 of the
-	// previous same-hash tuple — an intrusive chain through the parallel
-	// next slice. Slots are int32 (a relation holds < 2^31 tuples).
-	buckets map[uint64]int32
+	// heads chains live tuples by whole-tuple hash without per-bucket
+	// slice allocations: heads[bucket(h)] holds slot+1 of the most
+	// recently inserted live tuple in h's bucket (0 = none), and next[i]
+	// holds the slot+1 of the previous live tuple in the same bucket — an
+	// intrusive chain through the parallel next slice. The table is a
+	// power of two at least as large as the live count, so chains stay
+	// short; it doubles by rechaining from the cached hashes, and costs
+	// 4-8 bytes per tuple where a map[uint64]int32 costs ~36. Slots are
+	// int32 (a relation holds < 2^31 tuples).
+	heads   []int32
+	shift   uint // bucketOf shift for heads
 	next    []int32
 	n       int // live tuples
 	tombs   int // dead-stamped slots in tuples
@@ -423,6 +428,13 @@ type Relation struct {
 	indexes    map[uint32]*hashIndex
 	scanCredit map[uint32]*atomic.Int64
 	onces      map[uint32]*sync.Once
+
+	// snapIdx holds the adaptive indexes snapshot readers share over one
+	// captured header of tuples (see snapIndexSet); rewrites counts the
+	// compactions and Clears that replaced the backing arrays. A rewrite
+	// bumps rewrites, then stores nil, so the old array is not pinned.
+	snapIdx  atomic.Pointer[snapIndexSet]
+	rewrites atomic.Uint64
 }
 
 type hashIndex struct {
@@ -436,12 +448,11 @@ func NewRelation(name term.Value, arity int, policy IndexPolicy, stats *Stats) *
 		stats = &Stats{}
 	}
 	return &Relation{
-		name:    name,
-		arity:   arity,
-		buckets: make(map[uint64]int32),
-		policy:  policy,
-		stats:   stats,
-		cols:    make([]colStats, arity),
+		name:   name,
+		arity:  arity,
+		policy: policy,
+		stats:  stats,
+		cols:   make([]colStats, arity),
 	}
 }
 
@@ -504,13 +515,15 @@ func (r *Relation) Insert(t term.Tuple) bool {
 		t = term.Tuple{} // nil is reserved for tombstones
 	}
 	h := t.Hash()
-	for i := r.buckets[h]; i != 0; i = r.next[i-1] {
-		if u := r.tuples[i-1]; u != nil && u.Equal(t) {
-			return false
-		}
+	if r.find(h, t) != 0 {
+		return false
 	}
-	r.next = append(r.next, r.buckets[h])
-	r.buckets[h] = int32(len(r.tuples)) + 1
+	if r.n >= len(r.heads) {
+		r.rechain(2 * r.n)
+	}
+	b := bucketOf(h, r.shift)
+	r.next = append(r.next, r.heads[b])
+	r.heads[b] = int32(len(r.tuples)) + 1
 	r.tuples = append(r.tuples, t)
 	r.hashes = append(r.hashes, h)
 	r.dead = append(r.dead, 0)
@@ -540,11 +553,15 @@ func (r *Relation) Insert(t term.Tuple) bool {
 // backing arrays, leaving snapshots undisturbed) when tombstones outnumber
 // live tuples.
 func (r *Relation) Delete(t term.Tuple) bool {
+	if r.n == 0 {
+		return false
+	}
 	h := t.Hash()
+	b := bucketOf(h, r.shift)
 	prev := int32(0)
-	for i := r.buckets[h]; i != 0; prev, i = i, r.next[i-1] {
+	for i := r.heads[b]; i != 0; prev, i = i, r.next[i-1] {
 		u := r.tuples[i-1]
-		if u == nil || !u.Equal(t) {
+		if r.hashes[i-1] != h || u == nil || !u.Equal(t) {
 			continue
 		}
 		// Stamp, don't null: snapshots captured before this statement's
@@ -554,11 +571,7 @@ func (r *Relation) Delete(t term.Tuple) bool {
 		r.tombs++
 		// Unlink the slot from its hash chain.
 		if prev == 0 {
-			if r.next[i-1] == 0 {
-				delete(r.buckets, h)
-			} else {
-				r.buckets[h] = r.next[i-1]
-			}
+			r.heads[b] = r.next[i-1]
 		} else {
 			r.next[prev-1] = r.next[i-1]
 		}
@@ -588,43 +601,88 @@ func (r *Relation) Delete(t term.Tuple) bool {
 }
 
 // compact rewrites the tuple slice without tombstones and rebuilds the
-// buckets; survivor order is unchanged. Runs only from a writer. Every
-// slice is rebuilt from scratch — snapshots holding the old backing
+// hash chains; survivor order is unchanged. Runs only from a writer.
+// Every slice is rebuilt from scratch — snapshots holding the old backing
 // arrays keep reading them until the garbage collector reclaims the
 // memory once the last snapshot closes.
 func (r *Relation) compact() {
 	live := make([]term.Tuple, 0, r.n)
 	liveHashes := make([]uint64, 0, r.n)
-	liveDead := make([]uint64, 0, r.n)
-	next := make([]int32, 0, r.n)
-	buckets := make(map[uint64]int32, r.n)
 	for i, t := range r.tuples {
 		if t == nil || r.deadAt(i) {
 			continue
 		}
-		h := r.hashes[i] // cached at Insert; no re-hashing on compaction
-		next = append(next, buckets[h])
-		buckets[h] = int32(len(live)) + 1
 		live = append(live, t)
-		liveHashes = append(liveHashes, h)
-		liveDead = append(liveDead, 0)
+		liveHashes = append(liveHashes, r.hashes[i]) // cached at Insert; no re-hashing
 	}
 	r.tuples = live
 	r.hashes = liveHashes
-	r.dead = liveDead
-	r.next = next
-	r.buckets = buckets
+	r.dead = make([]uint64, len(live))
+	r.next = make([]int32, len(live))
+	r.rechain(len(live))
 	r.tombs = 0
+	r.dropSnapIndexes()
+}
+
+// newHeads returns an empty hash-chain head table of the smallest power
+// of two (at least 8) entries holding want slots, and the shift bucketOf
+// needs for it.
+func newHeads(want int) ([]int32, uint) {
+	bits := uint(3)
+	for 1<<bits < want {
+		bits++
+	}
+	return make([]int32, 1<<bits), 64 - bits
+}
+
+// bucketOf maps a hash to its bucket in a head table from newHeads
+// (Fibonacci hashing: the multiply spreads the hash's entropy into the
+// top bits kept).
+func bucketOf(h uint64, shift uint) uint64 { return (h * 0x9e3779b97f4a7c15) >> shift }
+
+// find returns slot+1 of the live tuple equal to t, whose whole-tuple
+// hash is h, or 0.
+func (r *Relation) find(h uint64, t term.Tuple) int32 {
+	if r.n == 0 {
+		return 0
+	}
+	for i := r.heads[bucketOf(h, r.shift)]; i != 0; i = r.next[i-1] {
+		if r.hashes[i-1] == h {
+			if u := r.tuples[i-1]; u != nil && u.Equal(t) {
+				return i
+			}
+		}
+	}
+	return 0
+}
+
+// rechain sizes the head table to the smallest power of two (at least 8)
+// holding want tuples and chains every live slot into it in insertion
+// order, so each chain starts at its most recent tuple.
+func (r *Relation) rechain(want int) {
+	r.heads, r.shift = newHeads(want)
+	for i, t := range r.tuples {
+		if t == nil || r.deadAt(i) {
+			continue
+		}
+		b := bucketOf(r.hashes[i], r.shift)
+		r.next[i] = r.heads[b]
+		r.heads[b] = int32(i) + 1
+	}
+}
+
+// dropSnapIndexes releases the shared snapshot indexes after the backing
+// arrays were replaced, so the relation no longer pins the old array:
+// snapshots of the old header index it privately from then on, and new
+// snapshots share indexes over the new arrays.
+func (r *Relation) dropSnapIndexes() {
+	r.rewrites.Add(1)
+	r.snapIdx.Store(nil)
 }
 
 // Contains implements Rel.
 func (r *Relation) Contains(t term.Tuple) bool {
-	for i := r.buckets[t.Hash()]; i != 0; i = r.next[i-1] {
-		if u := r.tuples[i-1]; u != nil && u.Equal(t) {
-			return true
-		}
-	}
-	return false
+	return r.find(t.Hash(), t) != 0
 }
 
 // Clear implements Rel. The backing arrays are dropped, not zeroed:
@@ -637,9 +695,10 @@ func (r *Relation) Clear() {
 	r.hashes = nil
 	r.dead = nil
 	r.next = nil
-	r.buckets = make(map[uint64]int32)
+	r.heads = nil
 	r.n = 0
 	r.tombs = 0
+	r.dropSnapIndexes()
 	r.version++
 	// Clear always opens a new epoch: every cached plan over this relation
 	// was derived from statistics that no longer describe anything.
@@ -685,12 +744,8 @@ func (r *Relation) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bo
 	if mask == r.fullMask() {
 		// Whole-tuple lookup: answer from the primary hash chain directly.
 		atomic.AddInt64(&r.stats.RowsProbed, 1)
-		for i := r.buckets[key.Hash()]; i != 0; i = r.next[i-1] {
-			if u := r.tuples[i-1]; u != nil && u.Equal(key) {
-				if !yield(u) {
-					return
-				}
-			}
+		if i := r.find(key.Hash(), key); i != 0 {
+			yield(r.tuples[i-1])
 		}
 		return
 	}
@@ -805,7 +860,7 @@ func (r *Relation) buildGuard(mask uint32) *sync.Once {
 // build walks insertion order, so index probes also enumerate matches in
 // insertion order — the same order a scan would yield them.
 func (r *Relation) publishIndex(mask uint32) {
-	ix := &hashIndex{mask: mask, buckets: make(map[uint64][]term.Tuple, len(r.buckets))}
+	ix := &hashIndex{mask: mask, buckets: make(map[uint64][]term.Tuple, r.n)}
 	for i, t := range r.tuples {
 		if t != nil && !r.deadAt(i) {
 			ix.add(t)

@@ -317,8 +317,9 @@ func TestQuickSetSemantics(t *testing.T) {
 		if r.Len() != len(ref) {
 			return false
 		}
-		for k := range ref {
-			if !r.Contains(it(int64(k[0]), int64(k[1]))) {
+		for _, o := range ops {
+			k := [2]int8{o.A, o.B}
+			if r.Contains(it(int64(o.A), int64(o.B))) != ref[k] {
 				return false
 			}
 		}
@@ -326,6 +327,29 @@ func TestQuickSetSemantics(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	// A long run over a small domain: the hash chains grow, tombstones
+	// pile up and compact, and deleted tuples come back.
+	rng := rand.New(rand.NewSource(1))
+	long := make([]op, 20000)
+	for i := range long {
+		long[i] = op{Insert: rng.Intn(2) == 0, A: int8(rng.Intn(40)), B: int8(rng.Intn(40))}
+	}
+	if !f(long) {
+		t.Error("set semantics broken on a long insert/delete run")
+	}
+}
+
+// TestChainTableSize: the whole-tuple hash chains hang off a head table
+// that grows with the live count and stays within 2x of it, so chains
+// stay short and the table costs at most 8 bytes per tuple.
+func TestChainTableSize(t *testing.T) {
+	r := NewRelation(term.NewString("e"), 2, IndexAdaptive, nil)
+	for i := int64(0); i < 15000; i++ {
+		r.Insert(it(i%4096, i))
+		if n := r.Len(); len(r.heads) < n || len(r.heads) > 2*n+8 {
+			t.Fatalf("%d tuples chained into a %d-entry head table", n, len(r.heads))
+		}
 	}
 }
 

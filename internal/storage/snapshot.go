@@ -136,15 +136,21 @@ type SnapRel struct {
 	lenOnce sync.Once
 	n       int
 
-	// Snapshot-local adaptive indexes: the live relation's indexes are
-	// writer-maintained and unversioned, so a snapshot builds its own on
-	// the same scan-credit policy. mu guards the maps; builds serialize
-	// per mask through onces; credit accrues atomically so concurrent
-	// morsel readers never lose updates.
-	mu      sync.RWMutex
-	indexes map[uint32]*hashIndex
-	onces   map[uint32]*sync.Once
-	credit  map[uint32]*atomic.Int64
+	// gen is the source's rewrite count at capture; with len(tuples) it
+	// orders this header against the one a shared index set covers.
+	gen uint64
+
+	// Adaptive indexes over the captured header live in a snapIndexSet
+	// shared through src by every snapshot of the same header. local is
+	// the last set this snapshot installed an index into: it keeps those
+	// indexes reachable once a newer header displaces the set from src,
+	// and it is the only home of indexes built while src already served a
+	// newer header. Scan credit stays per snapshot: mu guards the map,
+	// and each counter accrues atomically so concurrent morsel readers
+	// never lose updates.
+	local  atomic.Pointer[snapIndexSet]
+	mu     sync.RWMutex
+	credit map[uint32]*atomic.Int64
 }
 
 var _ Rel = (*SnapRel)(nil)
@@ -160,6 +166,7 @@ func newSnapRel(r *Relation, csn uint64, stats *Stats) *SnapRel {
 		src:     r,
 		version: r.version,
 		stats:   stats,
+		gen:     r.rewrites.Load(),
 	}
 }
 
@@ -237,15 +244,18 @@ func (r *SnapRel) ModifyByKey(mask uint32, rows []term.Tuple) {
 
 // Contains implements Rel: a hash-assisted scan over the captured slots
 // (the live hash chains are writer-owned and unversioned), with scan
-// credit accruing toward a snapshot-local whole-tuple index.
+// credit accruing toward a shared whole-tuple index.
 func (r *SnapRel) Contains(t term.Tuple) bool {
 	full := fullColsMask(r.arity)
-	if ix := r.index(full); ix != nil {
+	ix := r.index(full)
+	if ix == nil {
+		ix = r.creditAndMaybeBuild(full, 1)
+	}
+	if ix != nil {
 		found := false
-		r.probe(ix, full, t, func(term.Tuple) bool { found = true; return false })
+		r.probe(ix, t, func(term.Tuple) bool { found = true; return false })
 		return found
 	}
-	r.creditAndMaybeBuild(full, 1)
 	h := t.Hash()
 	for i := range r.tuples {
 		if r.hashes[i] == h && r.visible(i) && r.tuples[i].Equal(t) {
@@ -268,23 +278,22 @@ func (r *SnapRel) Scan(yield func(term.Tuple) bool) {
 	}
 }
 
-// Lookup implements Rel: through a snapshot-local index when one has been
-// built (probes enumerate insertion order, like the live relation's), a
-// filtered scan otherwise, accruing credit toward building one.
+// Lookup implements Rel: through a shared index when one has been built
+// over this header (probes enumerate insertion order, like the live
+// relation's), a filtered scan otherwise, accruing credit toward building
+// one.
 func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	if mask == 0 || len(r.tuples) == 0 {
 		r.Scan(yield)
 		return
 	}
-	if ix := r.index(mask); ix != nil {
-		r.probe(ix, mask, key, yield)
-		return
+	ix := r.index(mask)
+	if ix == nil {
+		ix = r.creditAndMaybeBuild(mask, 1)
 	}
-	if once := r.creditAndMaybeBuild(mask, 1); once != nil {
-		if ix := r.index(mask); ix != nil {
-			r.probe(ix, mask, key, yield)
-			return
-		}
+	if ix != nil {
+		r.probe(ix, key, yield)
+		return
 	}
 	atomic.AddInt64(&r.stats.RowsScanned, int64(len(r.tuples)))
 	for i, t := range r.tuples {
@@ -297,16 +306,15 @@ func (r *SnapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 }
 
 // PrepareRead implements Rel: it pre-pays the adaptive accounting for the
-// imminent lookups and builds the snapshot-local index now if the policy
-// decides it should exist, so concurrent morsel readers find it published.
+// imminent lookups and builds the shared index now if the policy decides
+// it should exist, so concurrent morsel readers find it published.
 func (r *SnapRel) PrepareRead(mask uint32, lookups int) {
 	if mask == 0 || len(r.tuples) == 0 || lookups <= 0 {
 		return
 	}
-	if ix := r.index(mask); ix != nil {
-		return
+	if r.index(mask) == nil {
+		r.creditAndMaybeBuild(mask, int64(lookups))
 	}
-	r.creditAndMaybeBuild(mask, int64(lookups))
 }
 
 // All implements Rel; the visible tuples in insertion order.
@@ -320,21 +328,109 @@ func (r *SnapRel) All() []term.Tuple {
 	return out
 }
 
-// index returns the published snapshot-local index for mask, if any.
-func (r *SnapRel) index(mask uint32) *hashIndex {
-	r.mu.RLock()
-	ix := r.indexes[mask]
-	r.mu.RUnlock()
-	return ix
+// snapIndexSet is the set of adaptive indexes over one captured header of
+// a relation — its backing array (base) and length (n) — shared by every
+// snapshot that captured that header. Below n the array never changes
+// (appends land past it, rewrites allocate anew), so an index over its
+// slots stays valid for all those snapshots; each probe filters by the
+// prober's own visibility. A published set is immutable: adding a mask
+// publishes a copy. gen is the relation's rewrite count when the header
+// was captured, and (gen, n) orders headers, so a set for a newer header
+// is never replaced by one for an older header.
+type snapIndexSet struct {
+	base *term.Tuple
+	n    int
+	gen  uint64
+	ixs  []*snapIndex
 }
 
-// creditAndMaybeBuild charges `scans` full scans toward building a
-// snapshot-local index on mask and builds it (exactly once, possibly
-// racing other readers onto the same sync.Once) when the accumulated
-// credit crosses the adaptive threshold — the same policy the live
-// relation applies, minus the per-store knob: a snapshot always indexes
-// adaptively, since it cannot fall back on the writer's indexes.
-func (r *SnapRel) creditAndMaybeBuild(mask uint32, scans int64) *sync.Once {
+// covers reports whether the set indexes exactly r's header.
+func (s *snapIndexSet) covers(r *SnapRel) bool {
+	return s.base == &r.tuples[0] && s.n == len(r.tuples)
+}
+
+// newer reports whether the set's header postdates r's.
+func (s *snapIndexSet) newer(r *SnapRel) bool {
+	return s.gen > r.gen || s.gen == r.gen && s.n > len(r.tuples)
+}
+
+// find returns the set's index for mask, built or not.
+func (s *snapIndexSet) find(mask uint32) *snapIndex {
+	for _, ix := range s.ixs {
+		if ix.mask == mask {
+			return ix
+		}
+	}
+	return nil
+}
+
+// snapIndex hashes one column mask of a header's slots into chains of
+// slot numbers, without per-bucket slices: heads[b] holds slot+1 of the
+// first slot in bucket b (0 = empty) and next[i] the slot+1 of the one
+// after slot i. Every slot below the header's length is chained, dead or
+// not, so the index serves snapshots at any CSN; chains run in ascending
+// slot (insertion) order, so probes yield rows in scan order. The index
+// is built at most once, by whichever snapshot first earns it.
+type snapIndex struct {
+	mask  uint32
+	once  sync.Once
+	ready atomic.Bool // heads and next are built
+	shift uint
+	heads []int32
+	next  []int32
+}
+
+// build chains every slot of r's header, walking from the last slot down
+// so each chain ends up in ascending slot order. The whole-tuple mask
+// hashes with the whole-tuple hash the header caches per slot.
+func (ix *snapIndex) build(r *SnapRel) {
+	n := len(r.tuples)
+	ix.heads, ix.shift = newHeads(n)
+	ix.next = make([]int32, n)
+	full := ix.mask == fullColsMask(r.arity)
+	for i := n - 1; i >= 0; i-- {
+		h := r.hashes[i]
+		if !full {
+			h = r.tuples[i].HashCols(ix.mask)
+		}
+		b := bucketOf(h, ix.shift)
+		ix.next[i] = ix.heads[b]
+		ix.heads[b] = int32(i) + 1
+	}
+	atomic.AddInt64(&r.stats.IndexBuilds, 1)
+	ix.ready.Store(true)
+}
+
+// index returns the built index for mask over this snapshot's header:
+// from the relation's shared set when it covers the header, else from
+// this snapshot's own set.
+func (r *SnapRel) index(mask uint32) *snapIndex {
+	if len(r.tuples) == 0 {
+		return nil
+	}
+	s := r.local.Load()
+	if r.src != nil {
+		if shared := r.src.snapIdx.Load(); shared != nil && shared.covers(r) {
+			s = shared
+		}
+	}
+	if s == nil {
+		return nil
+	}
+	if ix := s.find(mask); ix != nil && ix.ready.Load() {
+		return ix
+	}
+	return nil
+}
+
+// creditAndMaybeBuild charges `scans` full scans toward an index on mask
+// and, when this snapshot's accumulated credit crosses the adaptive
+// threshold, returns the index — built now unless another snapshot of the
+// same header already built it or is building it (then this call waits on
+// its sync.Once). Same policy as the live relation, minus the per-store
+// knob: a snapshot always indexes adaptively, since it cannot fall back on
+// the writer's indexes. Nil means keep scanning.
+func (r *SnapRel) creditAndMaybeBuild(mask uint32, scans int64) *snapIndex {
 	rows := int64(len(r.tuples))
 	if rows == 0 {
 		return nil
@@ -356,54 +452,75 @@ func (r *SnapRel) creditAndMaybeBuild(mask uint32, scans int64) *sync.Once {
 	if c.Add(scans*rows) < adaptiveFactor*rows {
 		return nil
 	}
-	once := r.buildGuard(mask)
-	once.Do(func() { r.publishIndex(mask) })
-	return once
+	ix := r.indexSlot(mask)
+	ix.once.Do(func() { ix.build(r) })
+	return ix
 }
 
-// buildGuard returns the per-mask sync.Once serializing snapshot-local
-// index builds.
-func (r *SnapRel) buildGuard(mask uint32) *sync.Once {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.onces == nil {
-		r.onces = make(map[uint32]*sync.Once)
-	}
-	once := r.onces[mask]
-	if once == nil {
-		once = new(sync.Once)
-		r.onces[mask] = once
-	}
-	return once
-}
-
-// publishIndex builds the snapshot-local index over the visible tuples in
-// insertion order and publishes it.
-func (r *SnapRel) publishIndex(mask uint32) {
-	ix := &hashIndex{mask: mask, buckets: make(map[uint64][]term.Tuple)}
-	for i, t := range r.tuples {
-		if r.visible(i) {
-			ix.add(t)
+// indexSlot returns the (possibly unbuilt) index for mask over this
+// snapshot's header, installing it if absent: in the relation's shared set
+// unless that set serves a newer header or the relation was rewritten
+// since capture, in this snapshot's own set otherwise.
+func (r *SnapRel) indexSlot(mask uint32) *snapIndex {
+	if r.src != nil && r.src.rewrites.Load() == r.gen {
+		if s := r.install(&r.src.snapIdx, mask); s != nil {
+			// A compact or Clear between the check above and the
+			// install stored nil first; take the stale set back out
+			// so it does not pin the rewritten relation's old array.
+			if r.src.rewrites.Load() != r.gen {
+				r.src.snapIdx.CompareAndSwap(s, nil)
+			}
+			r.local.Store(s)
+			return s.find(mask)
 		}
 	}
-	atomic.AddInt64(&r.stats.IndexBuilds, 1)
-	r.mu.Lock()
-	if r.indexes == nil {
-		r.indexes = make(map[uint32]*hashIndex)
-	}
-	r.indexes[mask] = ix
-	delete(r.credit, mask)
-	r.mu.Unlock()
+	return r.install(&r.local, mask).find(mask)
 }
 
-// probe answers a lookup from a snapshot-local index.
-func (r *SnapRel) probe(ix *hashIndex, mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
-	for _, t := range ix.buckets[key.HashCols(mask)] {
-		if t.EqualCols(key, mask) {
-			atomic.AddInt64(&r.stats.RowsProbed, 1)
-			if !yield(t) {
-				return
+// install makes the set in p cover this snapshot's header with an index
+// slot for mask, publishing by compare-and-swap, and returns that set; nil
+// if p serves a newer header, which this snapshot must not displace.
+func (r *SnapRel) install(p *atomic.Pointer[snapIndexSet], mask uint32) *snapIndexSet {
+	for {
+		cur := p.Load()
+		next := &snapIndexSet{base: &r.tuples[0], n: len(r.tuples), gen: r.gen}
+		switch {
+		case cur == nil:
+		case cur.covers(r):
+			if cur.find(mask) != nil {
+				return cur
 			}
+			next.ixs = append(next.ixs, cur.ixs...)
+		case cur.newer(r):
+			return nil
+		}
+		next.ixs = append(next.ixs, &snapIndex{mask: mask})
+		if p.CompareAndSwap(cur, next) {
+			return next
+		}
+	}
+}
+
+// probe answers a lookup on ix's columns from the shared index, yielding
+// the rows visible at this snapshot in insertion order.
+func (r *SnapRel) probe(ix *snapIndex, key term.Tuple, yield func(term.Tuple) bool) {
+	full := ix.mask == fullColsMask(r.arity)
+	h := key.Hash()
+	if !full {
+		h = key.HashCols(ix.mask)
+	}
+	for i := ix.heads[bucketOf(h, ix.shift)]; i != 0; i = ix.next[i-1] {
+		slot := int(i - 1)
+		if full && r.hashes[slot] != h {
+			continue
+		}
+		t := r.tuples[slot]
+		if !t.EqualCols(key, ix.mask) || !r.visible(slot) {
+			continue
+		}
+		atomic.AddInt64(&r.stats.RowsProbed, 1)
+		if !yield(t) {
+			return
 		}
 	}
 }

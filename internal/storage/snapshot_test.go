@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -145,11 +146,11 @@ func TestSnapshotLookupAndIndexes(t *testing.T) {
 	if first != 10 {
 		t.Fatalf("snapshot lookup returned %d rows, want 10", first)
 	}
-	// Hammer the same mask until the snapshot-local index builds, and check
+	// Hammer the same mask until the shared index builds, and check
 	// the answer is identical through the index.
 	sr.(*SnapRel).PrepareRead(1, 1000)
 	if sr.(*SnapRel).index(1) == nil {
-		t.Fatal("snapshot-local index not built after PrepareRead")
+		t.Fatal("shared index not built after PrepareRead")
 	}
 	if got := count(); got != first {
 		t.Fatalf("indexed lookup returned %d rows, want %d", got, first)
@@ -272,6 +273,330 @@ func TestSnapshotConcurrentWithWriter(t *testing.T) {
 	case err := <-errs:
 		t.Fatal(err)
 	default:
+	}
+}
+
+// lookupRows drains a Lookup.
+func lookupRows(r Rel, mask uint32, key term.Tuple) []term.Tuple {
+	var out []term.Tuple
+	r.Lookup(mask, key, func(t term.Tuple) bool { out = append(out, t); return true })
+	return out
+}
+
+// scanRows is the filtered-scan answer a Lookup must reproduce, rows in
+// the same order.
+func scanRows(r Rel, mask uint32, key term.Tuple) []term.Tuple {
+	var out []term.Tuple
+	r.Scan(func(t term.Tuple) bool {
+		if t.EqualCols(key, mask) {
+			out = append(out, t)
+		}
+		return true
+	})
+	return out
+}
+
+// sharedRel returns a committed two-column relation of n rows (i%keys, i).
+func sharedRel(n, keys int) (*MemStore, *Relation, term.Value) {
+	s := NewMemStore(IndexAdaptive)
+	name := term.NewString("e")
+	r := s.Ensure(name, 2).(*Relation)
+	for i := 0; i < n; i++ {
+		r.Insert(it(int64(i%keys), int64(i)))
+	}
+	s.AdvanceCSN()
+	return s, r, name
+}
+
+// TestSnapshotSharedIndexBuiltOnce: fresh snapshots of an unchanged
+// relation share one adaptive index, and every probe answers rows in the
+// order of a filtered scan.
+func TestSnapshotSharedIndexBuiltOnce(t *testing.T) {
+	s, _, name := sharedRel(2000, 97)
+	var builds int64
+	for q := 0; q < 100; q++ {
+		snap := s.Snapshot()
+		sr := mustSnapRel(t, snap, name, 2)
+		for k := 0; k < 3; k++ {
+			key := it(int64((q*3+k)%97), 0)
+			got, want := lookupRows(sr, 1, key), scanRows(sr, 1, key)
+			if len(want) == 0 || !tuplesEqual(got, want) {
+				t.Fatalf("snapshot %d key %v: lookup %v, filtered scan %v", q, key, got, want)
+			}
+		}
+		builds += snap.Stats().IndexBuilds
+	}
+	if builds != 1 {
+		t.Fatalf("100 snapshots of one header built %d indexes, want 1", builds)
+	}
+}
+
+// TestSnapshotSharedIndexDeleteAfterBuild: a delete after the shared index
+// was built stays visible to the older snapshot and invisible to the newer
+// one, both probing the same index — whichever of the two built it.
+func TestSnapshotSharedIndexDeleteAfterBuild(t *testing.T) {
+	s, r, name := sharedRel(200, 10)
+	old := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	old.PrepareRead(1, 1000) // built before the delete, by the older snapshot
+	old.PrepareRead(3, 1000)
+	victim := it(3, 13)
+	r.Delete(victim)
+	s.AdvanceCSN()
+	fresh := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	fresh.PrepareRead(2, 1000) // built after the delete, by the newer snapshot
+	for _, mask := range []uint32{1, 2, 3} {
+		if fresh.index(mask) == nil || fresh.index(mask) != old.index(mask) {
+			t.Fatalf("mask %b: snapshots of one header do not share the index", mask)
+		}
+		has := func(sr *SnapRel) bool {
+			for _, u := range lookupRows(sr, mask, victim) {
+				if u.Equal(victim) {
+					return true
+				}
+			}
+			return false
+		}
+		if !has(old) {
+			t.Fatalf("mask %b: older snapshot lost a row deleted after its capture", mask)
+		}
+		if has(fresh) {
+			t.Fatalf("mask %b: newer snapshot sees a row deleted before its capture", mask)
+		}
+	}
+	if !old.Contains(victim) || fresh.Contains(victim) {
+		t.Fatal("Contains disagrees with the snapshots' visibility")
+	}
+	if got := len(lookupRows(fresh, 1, it(3, 0))); got != 19 {
+		t.Fatalf("newer snapshot's lookup returned %d rows, want 19", got)
+	}
+}
+
+// TestSnapshotSharedIndexUncommittedDelete repeats
+// TestSnapshotUncommittedDeleteInvisibleToNewSnapshot through the shared
+// index: a dead stamp the writer has not committed yet leaves the row
+// visible, and only snapshots after the commit lose it.
+func TestSnapshotSharedIndexUncommittedDelete(t *testing.T) {
+	s, r, name := sharedRel(100, 10)
+	old := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	old.PrepareRead(1, 1000)
+	r.Delete(it(1, 1)) // stamped, not yet committed
+	mid := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	s.AdvanceCSN()
+	fresh := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	for _, c := range []struct {
+		who  string
+		sr   *SnapRel
+		want int
+	}{{"old", old, 10}, {"mid-statement", mid, 10}, {"fresh", fresh, 9}} {
+		if c.sr.index(1) != old.index(1) {
+			t.Fatalf("%s snapshot does not probe the shared index", c.who)
+		}
+		if got := len(lookupRows(c.sr, 1, it(1, 0))); got != c.want {
+			t.Fatalf("%s snapshot sees %d rows, want %d", c.who, got, c.want)
+		}
+	}
+}
+
+// TestSnapshotSharedIndexAfterAppend: a snapshot of a longer header never
+// probes the index built over a shorter one, and sees every new row.
+func TestSnapshotSharedIndexAfterAppend(t *testing.T) {
+	s, r, name := sharedRel(100, 10)
+	shortSnap := s.Snapshot()
+	short := mustSnapRel(t, shortSnap, name, 2).(*SnapRel)
+	short.PrepareRead(1, 1000)
+	for i := int64(100); i < 110; i++ {
+		r.Insert(it(4, i))
+	}
+	s.AdvanceCSN()
+	long := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	if long.index(1) != nil {
+		t.Fatal("longer header reuses the index over the shorter one")
+	}
+	for _, sr := range []*SnapRel{long, short} {
+		want := scanRows(sr, 1, it(4, 0))
+		if got := lookupRows(sr, 1, it(4, 0)); !tuplesEqual(got, want) {
+			t.Fatalf("before build: lookup %v, scan %v", got, want)
+		}
+	}
+	long.PrepareRead(1, 1000)
+	if long.index(1) == nil || long.index(1) == short.index(1) {
+		t.Fatal("longer header did not build its own index")
+	}
+	if got := len(lookupRows(long, 1, it(4, 0))); got != 20 {
+		t.Fatalf("longer header sees %d rows for key 4, want 20", got)
+	}
+	if got := len(lookupRows(short, 1, it(4, 0))); got != 10 {
+		t.Fatalf("shorter header sees %d rows for key 4, want 10", got)
+	}
+	if n := shortSnap.Stats().IndexBuilds; n != 1 {
+		t.Fatalf("shorter header rebuilt its index after being displaced: %d builds", n)
+	}
+	// An index the shorter header builds now stays private: it may not
+	// displace the newer header's set from the relation.
+	short.PrepareRead(2, 1000)
+	newest := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	if short.index(2) == nil || newest.index(1) != long.index(1) {
+		t.Fatal("relation does not serve the newest header's indexes")
+	}
+}
+
+// TestSnapshotSharedIndexReleasedOnRewrite: compaction and Clear drop the
+// relation's shared indexes, and a snapshot of the old header does not
+// publish them again.
+func TestSnapshotSharedIndexReleasedOnRewrite(t *testing.T) {
+	s, r, name := sharedRel(100, 10)
+	stale := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel).PrepareRead(1, 1000)
+	if r.snapIdx.Load() == nil {
+		t.Fatal("no shared index published")
+	}
+	for i := int64(0); i < 80; i++ { // tombs > n && tombs > 32: compacts
+		r.Delete(it(i%10, i))
+	}
+	s.AdvanceCSN()
+	if r.snapIdx.Load() != nil {
+		t.Fatal("compaction left the shared index pinning the old array")
+	}
+	stale.PrepareRead(3, 1000)
+	if r.snapIdx.Load() != nil {
+		t.Fatal("a snapshot of the pre-compaction header republished its index")
+	}
+	if got := len(lookupRows(stale, 3, it(5, 5))); got != 1 {
+		t.Fatalf("stale snapshot lookup returned %d rows, want 1", got)
+	}
+
+	mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel).PrepareRead(1, 1000)
+	if r.snapIdx.Load() == nil {
+		t.Fatal("no shared index over the compacted array")
+	}
+	r.Clear()
+	s.AdvanceCSN()
+	if r.snapIdx.Load() != nil {
+		t.Fatal("Clear left the shared index pinning the old array")
+	}
+}
+
+// TestSnapshotSharedIndexConcurrentBuild races 8 goroutines, each on its
+// own fresh snapshot of one header, to build the same mask: one build,
+// identical answers. Run with -race.
+func TestSnapshotSharedIndexConcurrentBuild(t *testing.T) {
+	s, _, name := sharedRel(5000, 50)
+	snaps := make([]*SnapStore, 8)
+	for i := range snaps {
+		snaps[i] = s.Snapshot()
+	}
+	answers := make([][]term.Tuple, len(snaps))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range snaps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			sr := mustSnapRel(nil, snaps[i], name, 2)
+			<-start
+			for k := 0; k < 4; k++ {
+				answers[i] = append(answers[i], lookupRows(sr, 1, it(int64(k*7), 0))...)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	var builds int64
+	for i, snap := range snaps {
+		builds += snap.Stats().IndexBuilds
+		if !tuplesEqual(answers[i], answers[0]) {
+			t.Fatalf("snapshot %d answered %d rows, snapshot 0 %d", i, len(answers[i]), len(answers[0]))
+		}
+	}
+	if builds != 1 {
+		t.Fatalf("8 racing snapshots built %d indexes, want 1", builds)
+	}
+	if len(answers[0]) != 400 {
+		t.Fatalf("answers hold %d rows, want 400", len(answers[0]))
+	}
+}
+
+// TestSnapshotSharedIndexUnderWriter: readers capture fresh snapshots at
+// statement boundaries while the writer appends, deletes and compacts, so
+// shared sets are published, displaced and released concurrently; every
+// indexed answer must equal the same snapshot's filtered scan. Run with
+// -race.
+func TestSnapshotSharedIndexUnderWriter(t *testing.T) {
+	s, r, name := sharedRel(400, 8)
+	var boundary sync.Mutex // statement boundaries: capture never overlaps a write
+	stop := make(chan struct{})
+	errs := make(chan error, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for q := 0; ; q++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				boundary.Lock()
+				sr := mustSnapRel(nil, s.Snapshot(), name, 2)
+				boundary.Unlock()
+				for k := 0; k < 3; k++ {
+					key := it(int64((w+q+k)%8), 0)
+					got, want := lookupRows(sr, 1, key), scanRows(sr, 1, key)
+					if !tuplesEqual(got, want) {
+						errs <- fmt.Errorf("reader %d query %d: lookup %d rows, scan %d", w, q, len(got), len(want))
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for i := int64(400); i < 2400; i++ {
+		boundary.Lock()
+		r.Insert(it(i%8, i))
+		r.Delete(it((i-400)%8, i-400)) // tombstones pile up and compact
+		s.AdvanceCSN()
+		boundary.Unlock()
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errs:
+		t.Fatal(err)
+	default:
+	}
+}
+
+// TestSnapshotSharedIndexMemoryBound: an index shared past the snapshots
+// that built it retains at most 32 bytes per slot (a map of per-bucket
+// tuple slices retained about 68).
+func TestSnapshotSharedIndexMemoryBound(t *testing.T) {
+	const rows = 15000
+	s, _, name := sharedRel(rows, 4096)
+	sr := mustSnapRel(t, s.Snapshot(), name, 2).(*SnapRel)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	sr.Lookup(1, it(0, 0), func(term.Tuple) bool { return true }) // credit map
+	before := heap()
+	sr.PrepareRead(1, 1000)
+	after := heap()
+	ix := sr.index(1)
+	if ix == nil {
+		t.Fatal("index not built")
+	}
+	runtime.KeepAlive(sr)
+	per := float64(int64(after)-int64(before)) / rows
+	t.Logf("shared index over %d slots retains %.1f B per slot", rows, per)
+	if per > 32 {
+		t.Fatalf("shared index retains %.1f B per slot, want <= 32", per)
+	}
+	if per := float64(4*(cap(ix.heads)+cap(ix.next))) / rows; per > 32 {
+		t.Fatalf("index arrays hold %.1f B per slot, want <= 32", per)
 	}
 }
 
