@@ -345,22 +345,11 @@ func BenchmarkF1CadSelect(b *testing.B) {
 // elimination inside a semi-naive repeat loop, aggregation grouping, and
 // head-insert probes — on a dedup-heavy transitive-closure + group-by
 // workload over string-labelled nodes. Reported allocs/op is the headline
-// metric (BENCH_E13.json, EXPERIMENTS.md): the hash-first kernels must
-// hold it at a fraction of the string-key baseline. The string-key variant
-// runs the legacy materializing kernels for comparison.
+// metric (BENCH_E13.json, EXPERIMENTS.md).
 func BenchmarkE13HashKernels(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"hash-first/seq", nil},
-		{"hash-first/4-workers", []gluenail.Option{
-			gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-		}},
-		{"string-key/seq", []gluenail.Option{gluenail.WithStringKeyKernels()}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			sys := bench.NewTCGroupSystem(120, 240, 7, mode.opts...)
+	for _, mode := range bench.E13Modes {
+		b.Run(mode.Name, func(b *testing.B) {
+			sys := bench.NewTCGroupSystem(120, 240, 7, mode.Opts...)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -373,27 +362,15 @@ func BenchmarkE13HashKernels(b *testing.B) {
 }
 
 // BenchmarkE15RepeatedQuery measures the repeated-small-query hot path: the
-// same bound customer lookup issued over and over against a warm system.
-// The grid ablates the two mechanisms independently — the prepared-plan
-// cache (skips per-query physical planning once statistics are stable) and
-// the vectorized batch kernels (column-major scan->filter->probe execution)
-// — against the PR 5 baseline with both off. Headline metrics (ns/op and
-// allocs/op) are recorded in BENCH_E15.json by cmd/glbench; the acceptance
-// target is >=2x ns/op improvement for cache+batch over neither.
+// same bound customer lookup issued over and over against a warm system,
+// with the prepared-plan cache (skips per-query physical planning once
+// statistics are stable) on and off. Headline metrics (ns/op and
+// allocs/op) are recorded in BENCH_E15.json by cmd/glbench.
 func BenchmarkE15RepeatedQuery(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"cache+batch", nil},
-		{"cache-only", []gluenail.Option{gluenail.WithBatchKernels(false)}},
-		{"batch-only", []gluenail.Option{gluenail.WithPlanCache(false)}},
-		{"neither", []gluenail.Option{
-			gluenail.WithPlanCache(false), gluenail.WithBatchKernels(false)}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
+	for _, mode := range bench.E15Modes {
+		b.Run(mode.Name, func(b *testing.B) {
 			sys := bench.NewRepeatedQuerySystem(512, 8, 6,
-				append([]gluenail.Option{gluenail.WithParallelism(1)}, mode.opts...)...)
+				append([]gluenail.Option{gluenail.WithParallelism(1)}, mode.Opts...)...)
 			// Warm: compile the query proc and let statistics settle so the
 			// steady state — not first-run planning — is what gets timed.
 			for i := 0; i < 3; i++ {

@@ -369,24 +369,14 @@ func e12() {
 }
 
 // e13 measures the hash-first tuple kernels (interned atoms, cached row
-// hashes, open-addressing dedup/group/probe tables) against the legacy
-// string-key kernels on the dedup-heavy closure + group-by workload.
+// hashes, open-addressing dedup/group/probe tables) on the dedup-heavy
+// closure + group-by workload, sequentially and over four workers.
 // Allocations per run are the headline metric — the kernels exist to stop
 // materializing a key string per row — and the runs are recorded in
 // BENCH_E13.json so CI can track them. All variants must produce
 // byte-identical results.
 func e13() {
 	const n, m, seed = 120, 240, 7
-	modes := []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"hash-first/seq", nil},
-		{"hash-first/4-workers", []gluenail.Option{
-			gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-		}},
-		{"string-key/seq", []gluenail.Option{gluenail.WithStringKeyKernels()}},
-	}
 	type rec struct {
 		Name        string `json:"name"`
 		NsPerOp     int64  `json:"ns_per_op"`
@@ -396,15 +386,15 @@ func e13() {
 	var recs []rec
 	var rows [][]string
 	var ref string
-	for _, mode := range modes {
-		sys := bench.NewTCGroupSystem(n, m, seed, mode.opts...)
+	for _, mode := range bench.E13Modes {
+		sys := bench.NewTCGroupSystem(n, m, seed, mode.Opts...)
 		check(bench.RunTCGroup(sys))
 		got, err := bench.TCGroupResult(sys)
 		check(err)
 		if ref == "" {
 			ref = got
 		} else if got != ref {
-			check(fmt.Errorf("E13: %s changed the reach relation", mode.name))
+			check(fmt.Errorf("E13: %s changed the reach relation", mode.Name))
 		}
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -413,27 +403,21 @@ func e13() {
 			}
 		})
 		recs = append(recs, rec{
-			Name:        mode.name,
+			Name:        mode.Name,
 			NsPerOp:     res.NsPerOp(),
 			AllocsPerOp: res.AllocsPerOp(),
 			BytesPerOp:  res.AllocedBytesPerOp(),
 		})
 		rows = append(rows, []string{
-			mode.name,
+			mode.Name,
 			ms(time.Duration(res.NsPerOp())),
 			fmt.Sprint(res.AllocsPerOp()),
 			fmt.Sprint(res.AllocedBytesPerOp()),
 		})
 	}
-	last := &recs[len(recs)-1]
-	rows[len(rows)-1] = append(rows[len(rows)-1],
-		fmt.Sprintf("%.2fx", float64(last.AllocsPerOp)/float64(recs[0].AllocsPerOp)))
-	for i := range rows[:len(rows)-1] {
-		rows[i] = append(rows[i], "-")
-	}
 	table("E13: hash-first hot-path kernels (closure + group-by, identical results)",
 		`§10 reports evaluation cost dominated by low-level tuple operations; encoding a key string per row for dedup/group/probe was exactly such a cost`,
-		[]string{"kernels", "time/op", "allocs/op", "bytes/op", "allocs vs hash-first/seq"}, rows)
+		[]string{"kernels", "time/op", "allocs/op", "bytes/op"}, rows)
 	out := struct {
 		Experiment string `json:"experiment"`
 		Workload   string `json:"workload"`
@@ -599,26 +583,14 @@ func e14() {
 
 // e15 measures the repeated-small-query hot path: the same bound
 // conjunctive query (5-relation star join with range filters) issued over
-// and over against a stable EDB, the workload the prepared-plan cache and
-// the vectorized batch kernels exist for. The 2x2 ablation grid isolates
-// each half: plan cache on/off x batch kernels on/off, with "neither"
-// matching the pre-cache baseline. Every mode must report the same result
-// cardinality, and the cached modes must show a steady-state hit rate
-// (zero misses during measurement). Recorded in BENCH_E15.json for CI.
+// and over against a stable EDB, the workload the prepared-plan cache
+// exists for, with the cache on and off. Every mode must report the same
+// result cardinality, and the cached mode must show a steady-state hit
+// rate (zero misses during measurement). Recorded in BENCH_E15.json for
+// CI.
 func e15() {
 	const customers, ordersPer, itemsPer = 512, 8, 6
 	const warmups = 3
-	modes := []struct {
-		name string
-		opts []gluenail.Option
-	}{
-		{"cache+batch", nil},
-		{"cache-only", []gluenail.Option{gluenail.WithBatchKernels(false)}},
-		{"batch-only", []gluenail.Option{gluenail.WithPlanCache(false)}},
-		{"neither", []gluenail.Option{
-			gluenail.WithPlanCache(false), gluenail.WithBatchKernels(false),
-		}},
-	}
 	type rec struct {
 		Name        string `json:"name"`
 		NsPerOp     int64  `json:"ns_per_op"`
@@ -630,19 +602,19 @@ func e15() {
 	var recs []rec
 	var rows [][]string
 	ref := -1
-	for _, mode := range modes {
-		opts := append([]gluenail.Option{gluenail.WithParallelism(1)}, mode.opts...)
+	for _, mode := range bench.E15Modes {
+		opts := append([]gluenail.Option{gluenail.WithParallelism(1)}, mode.Opts...)
 		sys := bench.NewRepeatedQuerySystem(customers, ordersPer, itemsPer, opts...)
 		for w := 0; w < warmups; w++ {
 			n, err := bench.RunRepeatedQuery(sys)
 			check(err)
 			if n == 0 {
-				check(fmt.Errorf("E15: %s produced no rows", mode.name))
+				check(fmt.Errorf("E15: %s produced no rows", mode.Name))
 			}
 			if ref < 0 {
 				ref = n
 			} else if n != ref {
-				check(fmt.Errorf("E15: %s returned %d rows, want %d", mode.name, n, ref))
+				check(fmt.Errorf("E15: %s returned %d rows, want %d", mode.Name, n, ref))
 			}
 		}
 		before := sys.PlanCacheStats()
@@ -655,13 +627,13 @@ func e15() {
 			}
 		})
 		after := sys.PlanCacheStats()
-		cached := mode.name == "cache+batch" || mode.name == "cache-only"
+		cached := mode.Name == "cache+batch"
 		if cached && after.Misses != before.Misses {
 			check(fmt.Errorf("E15: %s missed the warm plan cache %d times",
-				mode.name, after.Misses-before.Misses))
+				mode.Name, after.Misses-before.Misses))
 		}
 		recs = append(recs, rec{
-			Name:        mode.name,
+			Name:        mode.Name,
 			NsPerOp:     res.NsPerOp(),
 			AllocsPerOp: res.AllocsPerOp(),
 			BytesPerOp:  res.AllocedBytesPerOp(),
@@ -669,14 +641,14 @@ func e15() {
 			CacheMisses: after.Misses,
 		})
 		rows = append(rows, []string{
-			mode.name,
+			mode.Name,
 			ms(time.Duration(res.NsPerOp())),
 			fmt.Sprint(res.AllocsPerOp()),
 			fmt.Sprint(res.AllocedBytesPerOp()),
 			ratio(time.Duration(recs[0].NsPerOp), time.Duration(res.NsPerOp())),
 		})
 	}
-	table("E15: repeated-query hot path (plan cache x batch kernels, identical results)",
+	table("E15: repeated-query hot path (plan cache on/off, identical results)",
 		`the paper's compiled-query model assumes a query is planned once and run many times; caching physical plans and batching the inner loops makes the repeated run pay only execution`,
 		[]string{"mode", "time/op", "allocs/op", "bytes/op", "vs cache+batch"}, rows)
 	out := struct {

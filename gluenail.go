@@ -86,9 +86,7 @@ type config struct {
 	parallelism  int
 	parThreshold int
 	greedyOrder  bool
-	stringKeys   bool
 	planCache    bool
-	batchKernels bool
 	planOpts     plan.Options
 	durDir       string
 	fsync        FsyncMode
@@ -209,13 +207,6 @@ func WithGreedyOrdering() Option {
 	return func(c *config) { c.greedyOrder = true }
 }
 
-// WithStringKeyKernels runs duplicate elimination, aggregation grouping,
-// and call-barrier probing on the legacy string-key kernels (every row
-// encoded into a freshly allocated map key) instead of the hash-first
-// open-addressing kernels — the E13 ablation baseline. Results are
-// byte-identical either way.
-func WithStringKeyKernels() Option { return func(c *config) { c.stringKeys = true } }
-
 // WithPlanCache enables or disables the prepared-plan cache (on by
 // default): physical plans are cached per statement, keyed by the
 // referenced relations' statistics epochs and the statement's bound-
@@ -225,14 +216,6 @@ func WithStringKeyKernels() Option { return func(c *config) { c.stringKeys = tru
 // runnable op order yields the same results — so this is a pure
 // performance ablation (the E15 baseline axis).
 func WithPlanCache(on bool) Option { return func(c *config) { c.planCache = on } }
-
-// WithBatchKernels enables or disables the vectorized batch execution
-// kernels (on by default): pipeline segments run op-at-a-time over
-// column-major register vectors with selection-vector filters and
-// column-wise probe emission, instead of tuple-at-a-time interpretation.
-// Results are byte-identical to the scalar kernels at every worker count
-// (the second E15 baseline axis).
-func WithBatchKernels(on bool) Option { return func(c *config) { c.batchKernels = on } }
 
 // WithoutMagicSets disables magic-set rewriting of bound NAIL! calls (E9
 // baseline).
@@ -438,12 +421,11 @@ type compiledQuery struct {
 // parallelism; WithParallelism and WithParallelThreshold override them.
 func New(opts ...Option) *System {
 	cfg := config{
-		out:          os.Stdout,
-		in:           strings.NewReader(""),
-		indexPolicy:  storage.IndexAdaptive,
-		loopLimit:    1_000_000,
-		planCache:    true,
-		batchKernels: true,
+		out:         os.Stdout,
+		in:          strings.NewReader(""),
+		indexPolicy: storage.IndexAdaptive,
+		loopLimit:   1_000_000,
+		planCache:   true,
 	}
 	if s := os.Getenv("GLUENAIL_WORKERS"); s != "" {
 		if n, err := strconv.Atoi(s); err == nil {
@@ -844,9 +826,7 @@ func (s *System) tuneMachine(m *vm.Machine, b Budget) {
 	m.MaxRelRows = b.MaxRelRows
 	m.Parallelism = s.cfg.parallelism
 	m.ParallelThreshold = s.cfg.parThreshold
-	m.StringKeyKernels = s.cfg.stringKeys
 	m.PlanCache = s.cfg.planCache
-	m.BatchKernels = s.cfg.batchKernels
 	// Textual and greedy orderings are ablations: both must execute the
 	// compiled op order, so either disables run-time reordering.
 	m.StatsOrdering = !s.cfg.greedyOrder && !s.cfg.planOpts.NoReorder

@@ -18,6 +18,14 @@ import (
 	"gluenail/internal/term"
 )
 
+// Mode is one named configuration of an experiment's ablation grid. The
+// testing.B benchmarks and cmd/glbench range over the same exported mode
+// tables, so the two front ends cannot drift apart.
+type Mode struct {
+	Name string
+	Opts []gluenail.Option
+}
+
 // ---------- E1: compiler throughput ----------
 
 // SyntheticProgram generates a module with nStmts assignment statements
@@ -705,6 +713,15 @@ func NewTCGroupSystem(n, m int, seed int64, opts ...gluenail.Option) *gluenail.S
 	return sys
 }
 
+// E13Modes is the E13 grid: the hash-first kernels run sequentially and
+// fanned out over four workers.
+var E13Modes = []Mode{
+	{"hash-first/seq", nil},
+	{"hash-first/4-workers", []gluenail.Option{
+		gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
+	}},
+}
+
 // RunTCGroup executes the closure + group-by procedure once.
 func RunTCGroup(sys *gluenail.System) error {
 	_, err := sys.Call("main", "spread")
@@ -783,6 +800,12 @@ func NewRepeatedQuerySystem(customers, ordersPer, itemsPer int, opts ...gluenail
 	must(sys.Assert("supplier", su...))
 	must(sys.Assert("region", re...))
 	return sys
+}
+
+// E15Modes is the E15 grid: the prepared-plan cache on and off.
+var E15Modes = []Mode{
+	{"cache+batch", nil},
+	{"batch-only", []gluenail.Option{gluenail.WithPlanCache(false)}},
 }
 
 // RunRepeatedQuery issues the E15 query once, returning the row count so

@@ -25,6 +25,11 @@ import (
 // read gigabytes).
 const MaxFrame = 16 << 20
 
+// ErrFrameTooLarge reports a message whose encoding exceeds MaxFrame.
+// WriteFrame returns it before writing any byte, so the stream stays in
+// frame sync and the writer may send a different message instead.
+var ErrFrameTooLarge = errors.New("server: frame exceeds limit")
+
 // WriteFrame writes one length-prefixed JSON message.
 func WriteFrame(w io.Writer, v any) error {
 	payload, err := json.Marshal(v)
@@ -32,7 +37,7 @@ func WriteFrame(w io.Writer, v any) error {
 		return err
 	}
 	if len(payload) > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", len(payload), MaxFrame)
+		return fmt.Errorf("%w: %d bytes > %d", ErrFrameTooLarge, len(payload), MaxFrame)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -108,20 +113,21 @@ type Response struct {
 // clients can classify failures without parsing messages; the remaining
 // codes cover protocol and server states.
 const (
-	CodeCanceled     = "canceled"
-	CodeTimeout      = "timeout"
-	CodeMemoryBudget = "memory_budget"
-	CodeDepthLimit   = "depth_limit"
-	CodeLoopLimit    = "loop_limit"
-	CodePanic        = "panic"
-	CodePoisoned     = "poisoned"
-	CodeBadRequest   = "bad_request"   // malformed operands or unknown op
-	CodeQueryError   = "query_error"   // parse/compile/semantic failure
-	CodeReadOnlyTxn  = "read_only_txn" // write attempted inside begin/end
-	CodeAdmission    = "admission"     // too many concurrent statements
-	CodeShutdown     = "shutting_down" // server is draining
-	CodeDiskFault    = "disk_fault"    // an I/O fault; the store is read-only degraded
-	CodeCorrupt      = "corrupt"       // stored bytes failed checksum verification
+	CodeCanceled       = "canceled"
+	CodeTimeout        = "timeout"
+	CodeMemoryBudget   = "memory_budget"
+	CodeDepthLimit     = "depth_limit"
+	CodeLoopLimit      = "loop_limit"
+	CodePanic          = "panic"
+	CodePoisoned       = "poisoned"
+	CodeBadRequest     = "bad_request"      // malformed operands or unknown op
+	CodeQueryError     = "query_error"      // parse/compile/semantic failure
+	CodeReadOnlyTxn    = "read_only_txn"    // write attempted inside begin/end
+	CodeAdmission      = "admission"        // too many concurrent statements
+	CodeShutdown       = "shutting_down"    // server is draining
+	CodeDiskFault      = "disk_fault"       // an I/O fault; the store is read-only degraded
+	CodeCorrupt        = "corrupt"          // stored bytes failed checksum verification
+	CodeResultTooLarge = "result_too_large" // the encoded response exceeds MaxFrame
 )
 
 // WireError is the error payload: a stable code, the human-readable

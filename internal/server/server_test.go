@@ -352,3 +352,40 @@ func TestServerBadRequests(t *testing.T) {
 		t.Fatalf("parse error: got %v, want code %s", err, CodeQueryError)
 	}
 }
+
+// TestServerOversizeResult: a result whose encoding exceeds MaxFrame comes
+// back as a typed result_too_large error after exactly one execution —
+// the session survives, so the client neither sees a dropped connection
+// nor re-executes the query — and the same client's next query succeeds.
+func TestServerOversizeResult(t *testing.T) {
+	addr, _, sys := startServer(t, Config{})
+	if err := sys.Load("edb blob(K, S);"); err != nil {
+		t.Fatal(err)
+	}
+	big := strings.Repeat("x", 1<<20)
+	rows := make([][]any, 0, 20) // ~20 MiB encoded, past the 16 MiB frame limit
+	for i := 0; i < cap(rows); i++ {
+		rows = append(rows, []any{i, big})
+	}
+	if err := sys.Assert("blob", rows...); err != nil {
+		t.Fatal(err)
+	}
+	c := dial(t, addr)
+
+	_, err := c.Query("blob(K, S)")
+	var we *WireError
+	if !errors.As(err, &we) || we.Code != CodeResultTooLarge {
+		t.Fatalf("oversize query: got %v, want code %s", err, CodeResultTooLarge)
+	}
+	if _, err := c.Query("blob(3, S)"); err != nil {
+		t.Fatalf("next query on the same client: %v", err)
+	}
+	counters, _, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counters["reads"] != 2 || counters["sessions"] != 1 {
+		t.Fatalf("reads=%d sessions=%d, want 2 and 1: the oversize query re-executed or the session dropped",
+			counters["reads"], counters["sessions"])
+	}
+}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strconv"
@@ -64,6 +65,14 @@ func (c *session) serve() {
 			c.srv.totals.errors.Add(1)
 		}
 		err := WriteFrame(c.conn, resp)
+		if errors.Is(err, ErrFrameTooLarge) {
+			// Nothing was written, so the stream is still in frame sync:
+			// answer with a typed error and keep the session, instead of
+			// dropping it and inviting the client to re-execute.
+			c.srv.totals.errors.Add(1)
+			err = WriteFrame(c.conn, &Response{ID: req.ID, Err: &WireError{
+				Code: CodeResultTooLarge, Message: err.Error()}})
+		}
 		if c.finish != nil {
 			c.finish()
 			c.finish = nil

@@ -23,17 +23,14 @@ func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
 	workers := f.m.workerCount()
 	par := workers > 1 && len(rows) >= f.m.fanOutThreshold()
 	var groups [][]int // row indices per group, groups in first-seen order
-	switch {
-	case len(state.groupRegs) == 0:
+	if len(state.groupRegs) == 0 {
 		// No group_by in effect: every row is in the single group.
 		all := make([]int, len(rows))
 		for ri := range all {
 			all[ri] = ri
 		}
 		groups = [][]int{all}
-	case f.m.StringKeyKernels:
-		groups = f.groupRowsStringKey(rows, state.groupRegs, par, workers)
-	default:
+	} else {
 		groups = f.groupRows(rows, state.groupRegs, par, workers)
 	}
 	vals := make([]term.Value, len(rows))
@@ -87,10 +84,10 @@ func (f *frame) applyAggregate(b *plan.Aggregate, rows [][]term.Value,
 }
 
 // groupRows partitions row indices by the values of the grouping
-// registers, groups in first-seen order — the hash-first kernel: rows are
-// hashed in place (a parallel pass for large row sets), a pooled
-// open-addressing table maps each hash to its group, and collisions
-// compare the live registers directly. No group-key bytes are built.
+// registers, groups in first-seen order: rows are hashed in place (a
+// parallel pass for large row sets), a pooled open-addressing table maps
+// each hash to its group, and collisions compare the live registers
+// directly. No group-key bytes are built.
 func (f *frame) groupRows(rows [][]term.Value, regs []int, par bool, workers int) [][]int {
 	hashes := make([]uint64, len(rows))
 	if par {

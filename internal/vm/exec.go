@@ -104,9 +104,10 @@ func cloneRow(row []term.Value) []term.Value {
 }
 
 // runPipe streams rows through the segment's operators. The pipelined
-// strategy nests the operators per row and copies only at the segment end;
-// the materialized baseline stores the full row set after every operator
-// (the extra load and store per tuple of §9). Statically named relations
+// strategy runs the batch kernels (batch.go) over column vectors and
+// builds rows only at the segment end; the materialized baseline stores
+// the full row set after every operator (the extra load and store per
+// tuple of §9). Statically named relations
 // are resolved once per segment, not per row — relations only change at
 // barriers and heads, never inside a segment. When the segment projects
 // enough rows and the machine allows more than one worker, execution fans
@@ -172,35 +173,7 @@ func (f *frame) runPipe(step *plan.PhysStep, rows [][]term.Value, sprof *plan.St
 			return f.runPipeParallel(step, ops, rels, have, rows, workers, sprof, cnt)
 		}
 	}
-	if f.m.BatchKernels {
-		return f.runPipeBatch(ops, rels, have, rows, cnt)
-	}
-	var out [][]term.Value
-	// One probe-key scratch per op: ops at different pipeline depths hold
-	// their keys live simultaneously, but a single op reuses its key
-	// across all the rows that reach it.
-	scratch := make([]term.Tuple, len(ops))
-	var rec func(i int, row []term.Value) error
-	rec = func(i int, row []term.Value) error {
-		cnt[i]++
-		if i == len(ops) {
-			out = append(out, cloneRow(row))
-			atomic.AddInt64(&f.m.Stats.TuplesMaterialized, 1)
-			// Periodic in-segment governor check: a runaway cross product
-			// must not outrun the statement-boundary checks.
-			if len(out)&(govCheckRows-1) == 0 {
-				return f.m.pollGovernor()
-			}
-			return nil
-		}
-		return f.applyPipeOp(ops[i], rels[i], have[i], &scratch[i], row, func() error { return rec(i+1, row) })
-	}
-	for _, row := range rows {
-		if err := rec(0, row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return f.runPipeBatch(ops, rels, have, rows, cnt)
 }
 
 // unbind zeroes the registers an op bound; the compiler guarantees they
@@ -442,38 +415,10 @@ func (f *frame) dedupRows(rows [][]term.Value, live []int) [][]term.Value {
 		return rows
 	}
 	workers := f.m.workerCount()
-	par := workers > 1 && len(rows) >= f.m.fanOutThreshold()
-	if f.m.StringKeyKernels {
-		if par {
-			return f.dedupRowsParallelStringKey(rows, live, workers)
-		}
-		return f.dedupRowsStringKey(rows, live)
-	}
-	if par {
+	if workers > 1 && len(rows) >= f.m.fanOutThreshold() {
 		return f.dedupRowsParallel(rows, live, workers)
 	}
-	if f.m.BatchKernels {
-		return f.dedupRowsBatch(rows, live)
-	}
-	t := f.grabTable(len(rows))
-	out := rows[:0]
-	var cand []term.Value
-	eq := func(r int32) bool { return rowsEqualLive(out[r], cand, live) }
-	var removed int64
-	for _, row := range rows {
-		cand = row
-		h := rowHashLive(row, live)
-		if _, found := t.findOrAdd(h, int32(len(out)), eq); found {
-			removed++
-			continue
-		}
-		out = append(out, row)
-	}
-	f.releaseTable(t)
-	if removed != 0 {
-		atomic.AddInt64(&f.m.Stats.RowsDeduped, removed)
-	}
-	return out
+	return f.dedupRowsBatch(rows, live)
 }
 
 // buildHeadTuple builds the head tuple for one row.
@@ -516,12 +461,8 @@ func applyHeadOp(st *plan.Stmt, rel storage.Rel, tuples []term.Tuple) {
 // rows are grouped by computed relation name. A statically named head — by
 // far the common case — resolves its single target once per statement
 // execution and skips grouping entirely; computed names group through a
-// pooled hash table on the name value, so the per-row canonical name key
-// (term.Key) of the legacy kernel is gone from the hot path.
+// pooled hash table on the name value.
 func (f *frame) applyHead(st *plan.Stmt, rows [][]term.Value) error {
-	if f.m.StringKeyKernels {
-		return f.applyHeadStringKey(st, rows)
-	}
 	if st.Head.Ref.Name.IsGround() {
 		// One static target for the whole statement: it participates even
 		// with an empty body (":=" clears it).

@@ -3,6 +3,7 @@ package vm
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gluenail/internal/term"
@@ -116,8 +117,54 @@ func collisionRows(n int, rng *rand.Rand, unbound bool) ([][]term.Value, []int) 
 	return rows, []int{0, 1, 2}
 }
 
+// refKey is the string-key reference encoding of a row's registers: each
+// bound value's canonical encoding (term.Key), and term.NonTag for an
+// unbound slot, so an unbound register can never alias a bound value.
+func refKey(row []term.Value, regs []int) string {
+	var sb strings.Builder
+	for _, r := range regs {
+		if row[r].IsZero() {
+			sb.WriteByte(term.NonTag)
+			continue
+		}
+		sb.WriteString(term.Key(row[r]))
+	}
+	return sb.String()
+}
+
+// refDedup is the reference dedup: first occurrence of each key wins,
+// input order kept.
+func refDedup(rows [][]term.Value, live []int) [][]term.Value {
+	seen := map[string]bool{}
+	var out [][]term.Value
+	for _, row := range rows {
+		if k := refKey(row, live); !seen[k] {
+			seen[k] = true
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// refGroups is the reference grouping: row indices per key, groups in
+// first-seen order.
+func refGroups(rows [][]term.Value, regs []int) [][]int {
+	byKey := map[string]int{}
+	var groups [][]int
+	for ri, row := range rows {
+		k := refKey(row, regs)
+		if g, ok := byKey[k]; ok {
+			groups[g] = append(groups[g], ri)
+		} else {
+			byKey[k] = len(groups)
+			groups = append(groups, []int{ri})
+		}
+	}
+	return groups
+}
+
 // TestDedupMatchesStringKeyReference runs the hash-first dedup kernels
-// (sequential and parallel) against the legacy string-key kernel on random
+// (sequential and parallel) against a string-key map reference on random
 // rows mixing interned and non-interned atoms and unbound slots; kept rows
 // and their order must be identical.
 func TestDedupMatchesStringKeyReference(t *testing.T) {
@@ -128,7 +175,7 @@ func TestDedupMatchesStringKeyReference(t *testing.T) {
 			copy(c, rows)
 			return c
 		}
-		ref := (&frame{m: &Machine{}}).dedupRowsStringKey(clone(), live)
+		ref := refDedup(rows, live)
 		for name, f := range map[string]*frame{
 			"seq": {m: &Machine{Parallelism: 1}},
 			"par": {m: &Machine{Parallelism: 4, ParallelThreshold: 16}},
@@ -152,7 +199,7 @@ func TestGroupRowsMatchesStringKeyReference(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rows, regs := collisionRows(400, rand.New(rand.NewSource(seed+100)), false)
 		f := &frame{m: &Machine{}}
-		ref := f.groupRowsStringKey(rows, regs, false, 1)
+		ref := refGroups(rows, regs)
 		for name, groups := range map[string][][]int{
 			"seq": f.groupRows(rows, regs, false, 1),
 			"par": f.groupRows(rows, regs, true, 4),
@@ -207,10 +254,9 @@ func dedupAllocs(f *frame, n int) float64 {
 }
 
 // TestDedupAllocsPerRow pins the allocation behaviour of the dedup kernels:
-// the sequential hash-first kernel must stay O(1) allocations per call
-// (pooled table, no key bytes), the 4-worker kernel O(1) per morsel/shard,
-// and the legacy string-key kernel must remain ≥ 2× worse per row — the
-// E13 acceptance bar — so a regression in either direction is caught.
+// the sequential kernel (dedupRowsBatch) must stay O(1) allocations per
+// call (pooled table and hash vector, no key bytes), and the 4-worker
+// kernel O(1) per morsel/shard.
 func TestDedupAllocsPerRow(t *testing.T) {
 	const n = 4096
 	seq := dedupAllocs(&frame{m: &Machine{Parallelism: 1}}, n)
@@ -221,12 +267,7 @@ func TestDedupAllocsPerRow(t *testing.T) {
 	if perRow := par / n; perRow > 0.05 {
 		t.Errorf("4-worker dedup: %.1f allocs/call (%.4f/row), want ≤ 0.05/row", par, perRow)
 	}
-	legacy := dedupAllocs(&frame{m: &Machine{Parallelism: 1, StringKeyKernels: true}}, n)
-	if legacy < 2*seq {
-		t.Errorf("string-key dedup allocates %.1f/call vs hash-first %.1f/call; want ≥ 2×", legacy, seq)
-	}
-	t.Logf("dedup allocs per %d-row call: hash-first seq %.1f, hash-first 4-workers %.1f, string-key %.1f",
-		n, seq, par, legacy)
+	t.Logf("dedup allocs per %d-row call: seq %.1f, 4-workers %.1f", n, seq, par)
 }
 
 // TestGroupRowsAllocsPerRow pins aggregation grouping: allocations scale

@@ -1,6 +1,6 @@
 // Package vm executes compiled Glue programs. It implements both execution
-// strategies discussed in §9: the default pipelined (nested-join) strategy,
-// which streams each supplementary row through a segment's operators and
+// strategies discussed in §9: the default pipelined strategy, which runs a
+// segment's operators over batches of supplementary rows (batch.go) and
 // materializes only at pipeline breaks, and a fully materialized baseline
 // that stores the supplementary relation after every operator. Procedure
 // frames hold per-invocation local relations (§4), created in the temp
@@ -75,12 +75,6 @@ type Machine struct {
 	// (greedy or textual) op order executes — still through the
 	// physical-plan layer, so instrumentation is identical.
 	StatsOrdering bool
-	// StringKeyKernels routes duplicate elimination, aggregation grouping,
-	// and call-barrier probing through the legacy kernels that materialize
-	// an encoded string key per row, instead of the hash-first
-	// open-addressing kernels. Kept as the E13 ablation baseline; results
-	// are byte-identical either way.
-	StringKeyKernels bool
 	// PlanCache enables the prepared-plan cache: a statement's physical
 	// plan is reused across executions while the stats epochs of its
 	// referenced relations hold and executor selectivity feedback stays
@@ -89,13 +83,6 @@ type Machine struct {
 	// planner re-derives every plan (the pre-cache baseline). Plans are
 	// identical either way — a stale plan can only be slower, never wrong.
 	PlanCache bool
-	// BatchKernels routes segment pipelines through the vectorized
-	// batch-at-a-time kernels (batch.go): column-major register vectors,
-	// selection vectors for filters, and batched probes, processed
-	// op-at-a-time over whole morsels instead of tuple-at-a-time recursion.
-	// New enables it; disabled, the scalar nested-loop path runs (the
-	// pre-vectorization baseline). Results are byte-identical either way.
-	BatchKernels bool
 	// Trace, when non-nil, receives one line per statement execution and
 	// procedure call — the executor's narration of §3.2's evaluation.
 	Trace io.Writer
@@ -171,7 +158,6 @@ func New(prog *plan.Program, edb, temp storage.Store, reg *Registry) *Machine {
 		In:            bufio.NewReader(strings.NewReader("")),
 		StatsOrdering: true,
 		PlanCache:     true,
-		BatchKernels:  true,
 		profiles:      make(map[*plan.Stmt]*plan.StmtProfile),
 		lastPhys:      make(map[*plan.Stmt]*plan.PhysPlan),
 		planCache:     plan.NewPlanCache(),

@@ -4,12 +4,11 @@
 // supplementary relation are independent between pipeline breaks, so the
 // executor partitions them into contiguous morsels, fans the morsels out
 // to a worker pool (Leis et al.'s morsel-driven model), and runs the same
-// nested operator pipeline per worker. Each row is its own register bank,
-// each worker owns a private output buffer per morsel, and the per-morsel
-// outputs are concatenated in input order — the merged row stream is
-// byte-identical to what sequential execution produces, so dedup,
-// aggregation, golden files, and sorted query output are unchanged by the
-// worker count.
+// batch kernels per worker. Each worker owns a private batch scratch and
+// output buffer per morsel, and the per-morsel outputs are concatenated
+// in input order — the merged row stream is byte-identical to what
+// sequential execution produces, so dedup, aggregation, golden files, and
+// sorted query output are unchanged by the worker count.
 package vm
 
 import (
@@ -220,48 +219,14 @@ func (f *frame) runPipeParallel(step *plan.PhysStep, ops []plan.PipeOp,
 		if failed.Load() {
 			return
 		}
-		var out [][]term.Value
-		var stored int64
+		// Each morsel runs the batch kernels over its contiguous row range;
+		// per-morsel output order is the sequential order, so the in-order
+		// merge below stays byte-identical.
 		local := make([]int64, len(ops)+1)
-		if f.m.BatchKernels {
-			// Batched morsel: the same column-major kernels as the
-			// sequential path, over this morsel's contiguous row range.
-			// Per-morsel output order is what the scalar recursion yields,
-			// so the in-order merge below stays byte-identical.
-			bout, err := f.runPipeBatch(ops, rels, have, rows[ms[mi].start:ms[mi].end], local)
-			if err != nil {
-				errs[mi] = err
-				failed.Store(true)
-			}
-			results[mi] = bout
-			for i, c := range local {
-				if c != 0 {
-					atomic.AddInt64(&cnt[opBase+i], c)
-				}
-			}
-			return
-		}
-		scratch := make([]term.Tuple, len(ops)) // per-worker probe keys
-		var rec func(i int, row []term.Value) error
-		rec = func(i int, row []term.Value) error {
-			local[i]++
-			if i == len(ops) {
-				out = append(out, cloneRow(row))
-				stored++
-				if stored&(govCheckRows-1) == 0 {
-					return f.m.pollGovernor()
-				}
-				return nil
-			}
-			return f.applyPipeOp(ops[i], rels[i], have[i], &scratch[i], row,
-				func() error { return rec(i+1, row) })
-		}
-		for _, row := range rows[ms[mi].start:ms[mi].end] {
-			if err := rec(0, row); err != nil {
-				errs[mi] = err
-				failed.Store(true)
-				break
-			}
+		out, err := f.runPipeBatch(ops, rels, have, rows[ms[mi].start:ms[mi].end], local)
+		if err != nil {
+			errs[mi] = err
+			failed.Store(true)
 		}
 		results[mi] = out
 		for i, c := range local {
@@ -269,7 +234,6 @@ func (f *frame) runPipeParallel(step *plan.PhysStep, ops []plan.PipeOp,
 				atomic.AddInt64(&cnt[opBase+i], c)
 			}
 		}
-		atomic.AddInt64(&f.m.Stats.TuplesMaterialized, stored)
 	})
 	total := 0
 	for mi := range results {

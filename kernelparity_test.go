@@ -7,18 +7,17 @@ import (
 	"testing/quick"
 )
 
-// Kernel-parity differential tests: the vectorized batch kernels (on by
-// default), the scalar tuple-at-a-time kernels behind WithBatchKernels
-// (false), the hash-first kernels (interned atoms, cached row hashes,
-// open-addressing dedup/group/probe tables), and the legacy string-key
-// kernels retained behind WithStringKeyKernels must produce byte-identical
-// results on every program at every worker count.
+// Kernel-parity differential tests: the pipelined executor's batch kernels
+// (column-major segments, hash-first dedup/group/probe tables) must
+// produce byte-identical results to the materialized executor, the
+// paper's tuple-at-a-time baseline, on every program at every worker
+// count.
 
 // TestHiLogDispatchKernelParity is the regression test for the cached head
 // dispatch key: a dispatch-heavy HiLog program — computed head names
 // creating one relation per department, predicate-variable reads
 // dispatching back into them, and a set-valued catalog — must resolve the
-// same relations and rows under both kernel families and any parallelism.
+// same relations and rows under both executors and any parallelism.
 func TestHiLogDispatchKernelParity(t *testing.T) {
 	const program = `
 edb emp(Dept, Name), dept_set(Dept, S);
@@ -45,12 +44,10 @@ end
 	var ref []string
 	var refName string
 	for name, opts := range map[string][]Option{
-		"batch":             nil,
-		"scalar":            {WithBatchKernels(false)},
-		"string-key":        {WithStringKeyKernels()},
-		"scalar+string-key": {WithBatchKernels(false), WithStringKeyKernels()},
+		"batch":        nil,
+		"materialized": {WithMaterializedExecution()},
 	} {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 4, 8} {
 			all := append([]Option{WithParallelism(workers), WithParallelThreshold(8)}, opts...)
 			sys := New(all...)
 			if err := sys.Load(program); err != nil {
@@ -87,14 +84,13 @@ end
 	}
 }
 
-// TestQuickKernelParity sweeps random programs through both kernel
-// families at 1–8 workers: every configuration must agree row for row.
+// TestQuickKernelParity sweeps random programs through the batch kernels
+// and the materialized executor at 1–8 workers: every configuration must
+// agree row for row.
 func TestQuickKernelParity(t *testing.T) {
 	kernels := map[string][]Option{
-		"batch":             nil,
-		"scalar":            {WithBatchKernels(false)},
-		"string-key":        {WithStringKeyKernels()},
-		"scalar+string-key": {WithBatchKernels(false), WithStringKeyKernels()},
+		"batch":        nil,
+		"materialized": {WithMaterializedExecution()},
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
