@@ -1,7 +1,10 @@
-// Package bench builds the workloads for the paper's experiments (see
-// DESIGN.md §4 and EXPERIMENTS.md). Both the testing.B benchmarks at the
-// repository root and the cmd/glbench table harness drive these builders,
-// so the measured code paths are identical.
+// Package bench holds the paper's experiments (DESIGN.md §4,
+// EXPERIMENTS.md): the workload builders, and the registry (Experiments)
+// that defines each experiment once, with its cases, sizes, answer checks,
+// table and BENCH_*.json record. Two thin front ends run the registry:
+// BenchmarkExperiments at the repository root (go test -bench
+// Experiments) and cmd/glbench, which prints the tables and writes the
+// records. Both run identical cases and checks.
 package bench
 
 import (
@@ -18,9 +21,7 @@ import (
 	"gluenail/internal/term"
 )
 
-// Mode is one named configuration of an experiment's ablation grid. The
-// testing.B benchmarks and cmd/glbench range over the same exported mode
-// tables, so the two front ends cannot drift apart.
+// Mode is one named configuration of an experiment's ablation grid.
 type Mode struct {
 	Name string
 	Opts []gluenail.Option
@@ -106,13 +107,8 @@ tc(X,Z) :- tc(X,Y) & edge(Y,Z).
 
 // NewTCSystem loads the transitive-closure rules and asserts the edges.
 func NewTCSystem(edges [][]any, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(tcRules); err != nil {
-		panic(err)
-	}
-	if err := sys.Assert("edge", edges...); err != nil {
-		panic(err)
-	}
+	sys := newSystem(tcRules, opts...)
+	must(sys.Assert("edge", edges...))
 	return sys
 }
 
@@ -129,10 +125,7 @@ end
 // NewJoinSystem builds a 3-way join over relations of n rows each with the
 // given fanout (rows per join key).
 func NewJoinSystem(n, fanout int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(joinChain); err != nil {
-		panic(err)
-	}
+	sys := newSystem(joinChain, opts...)
 	keys := n / fanout
 	if keys == 0 {
 		keys = 1
@@ -176,8 +169,9 @@ end
 
 // NewDurableSystem builds the E11 workload system. dir == "" disables
 // durability (the WAL-off baseline); otherwise the directory is wiped
-// first so every run starts from an empty store.
-func NewDurableSystem(dir string, mode gluenail.FsyncMode, opts ...gluenail.Option) (*gluenail.System, error) {
+// first so every run starts from an empty store. The fsync mode comes
+// through opts (WithFsync).
+func NewDurableSystem(dir string, opts ...gluenail.Option) (*gluenail.System, error) {
 	var sys *gluenail.System
 	if dir == "" {
 		sys = gluenail.New(opts...)
@@ -186,7 +180,7 @@ func NewDurableSystem(dir string, mode gluenail.FsyncMode, opts ...gluenail.Opti
 			return nil, err
 		}
 		var err error
-		sys, err = gluenail.Open(dir, append(opts, gluenail.WithFsync(mode))...)
+		sys, err = gluenail.Open(dir, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -220,10 +214,7 @@ end
 // output so the measured time is the segment pipeline, not head insertion.
 // Worker count comes through opts (WithParallelism).
 func NewParallelJoinSystem(n, fanout int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(fmt.Sprintf(parJoinProgram, n/8)); err != nil {
-		panic(err)
-	}
+	sys := newSystem(fmt.Sprintf(parJoinProgram, n/8), opts...)
 	keys := n / fanout
 	if keys == 0 {
 		keys = 1
@@ -269,10 +260,7 @@ end
 // call (a pipeline break), so dedup there shrinks both the call input and
 // the rows carried into the follow join by the duplicate factor.
 func NewDupSystem(nKeys, dup int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(dupProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(dupProgram, opts...)
 	rows := make([][]any, 0, nKeys*dup)
 	for k := 0; k < nKeys; k++ {
 		for d := 0; d < dup; d++ {
@@ -332,7 +320,6 @@ func RunSelections(policy storage.IndexPolicy, nRows, keys, q int) AdaptiveResul
 // elements each, plus noise relations that only the unnarrowed baseline
 // has to wade through.
 func NewDispatchSystem(nSets, setSize, noise int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
 	var decls strings.Builder
 	decls.WriteString("edb holder(S)")
 	for i := 0; i < nSets; i++ {
@@ -346,9 +333,7 @@ proc sweep(:)
   return(:) := out(_).
 end
 `)
-	if err := sys.Load(decls.String()); err != nil {
-		panic(err)
-	}
+	sys := newSystem(decls.String(), opts...)
 	for i := 0; i < nSets; i++ {
 		name := fmt.Sprintf("set%d", i)
 		rows := make([][]any, setSize)
@@ -394,10 +379,7 @@ end
 // NewSetEqSystem builds nPairs pairs of set names over sets of setSize
 // elements; half the pairs are identical names, half differ.
 func NewSetEqSystem(nPairs, setSize int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(setEqProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(setEqProgram, opts...)
 	for i := 0; i < nPairs; i++ {
 		name := gluenail.Compound("s", gluenail.Int(int64(i)))
 		rows := make([][]any, setSize)
@@ -445,10 +427,7 @@ end
 // every call creates and drops frame-local temporaries, the workload the
 // tailored main-memory back end exists for (§10).
 func NewTemporariesSystem(chain int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(temporariesProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(temporariesProgram, opts...)
 	must(sys.Assert("edge", ChainEdges(chain)...))
 	return sys
 }
@@ -478,10 +457,7 @@ end
 // product before a selective constant-argument lookup; the greedy
 // reordering of §3.1 moves the lookup first.
 func NewReorderSystem(n int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(reorderProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(reorderProgram, opts...)
 	var aRows, crossRows, selRows [][]any
 	for i := 0; i < n; i++ {
 		aRows = append(aRows, []any{i})
@@ -620,10 +596,7 @@ end
 // starting from probe and index-probing big touches a fraction of the
 // data; that is exactly the statistic the run-time planner consults.
 func NewSkewJoinSystem(n, rare, k int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(skewJoinProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(skewJoinProgram, opts...)
 	bigRows := make([][]any, n)
 	for i := range bigRows {
 		y := 0
@@ -653,19 +626,7 @@ func SkewJoinResult(sys *gluenail.System) (string, error) {
 	if err := RunSkewJoin(sys); err != nil {
 		return "", err
 	}
-	rows, err := sys.Relation("out", 2)
-	if err != nil {
-		return "", err
-	}
-	var sb strings.Builder
-	for _, row := range rows {
-		for _, v := range row {
-			sb.WriteString(v.String())
-			sb.WriteByte(',')
-		}
-		sb.WriteByte(';')
-	}
-	return sb.String(), nil
+	return relationText(sys, "out", 2)
 }
 
 // ---------- E13: hash-first hot-path kernels ----------
@@ -697,10 +658,7 @@ end
 // string-labelled nodes (atoms, so tuple hashing exercises the string
 // path) with m edges.
 func NewTCGroupSystem(n, m int, seed int64, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(tcGroupProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(tcGroupProgram, opts...)
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]any, 0, m)
 	for i := 0; i < m; i++ {
@@ -713,15 +671,6 @@ func NewTCGroupSystem(n, m int, seed int64, opts ...gluenail.Option) *gluenail.S
 	return sys
 }
 
-// E13Modes is the E13 grid: the hash-first kernels run sequentially and
-// fanned out over four workers.
-var E13Modes = []Mode{
-	{"hash-first/seq", nil},
-	{"hash-first/4-workers", []gluenail.Option{
-		gluenail.WithParallelism(4), gluenail.WithParallelThreshold(64),
-	}},
-}
-
 // RunTCGroup executes the closure + group-by procedure once.
 func RunTCGroup(sys *gluenail.System) error {
 	_, err := sys.Call("main", "spread")
@@ -731,7 +680,12 @@ func RunTCGroup(sys *gluenail.System) error {
 // TCGroupResult renders the reach relation in sorted order, for checking
 // that kernel variants and worker counts agree byte-for-byte.
 func TCGroupResult(sys *gluenail.System) (string, error) {
-	rows, err := sys.Relation("reach", 2)
+	return relationText(sys, "reach", 2)
+}
+
+// relationText renders a relation's rows in sorted order.
+func relationText(sys *gluenail.System, name string, arity int) (string, error) {
+	rows, err := sys.Relation(name, arity)
 	if err != nil {
 		return "", err
 	}
@@ -770,10 +724,7 @@ const RepeatedQueryGoals = "orders(42, O) & items(O, I, P) & P > 30 & P < 90 & "
 // orders, itemsPer items per order with deterministic pseudo-random
 // prices, and one stock, supplier, and region row per item.
 func NewRepeatedQuerySystem(customers, ordersPer, itemsPer int, opts ...gluenail.Option) *gluenail.System {
-	sys := gluenail.New(opts...)
-	if err := sys.Load(repeatedQueryProgram); err != nil {
-		panic(err)
-	}
+	sys := newSystem(repeatedQueryProgram, opts...)
 	nItems := customers * ordersPer
 	var ord, it, st, su, re [][]any
 	o := 0
@@ -802,12 +753,6 @@ func NewRepeatedQuerySystem(customers, ordersPer, itemsPer int, opts ...gluenail
 	return sys
 }
 
-// E15Modes is the E15 grid: the prepared-plan cache on and off.
-var E15Modes = []Mode{
-	{"cache+batch", nil},
-	{"batch-only", []gluenail.Option{gluenail.WithPlanCache(false)}},
-}
-
 // RunRepeatedQuery issues the E15 query once, returning the row count so
 // harnesses can verify every configuration answers identically.
 func RunRepeatedQuery(sys *gluenail.System) (int, error) {
@@ -816,6 +761,13 @@ func RunRepeatedQuery(sys *gluenail.System) (int, error) {
 		return 0, err
 	}
 	return len(res.Rows), nil
+}
+
+// newSystem builds a system with opts and loads src into it.
+func newSystem(src string, opts ...gluenail.Option) *gluenail.System {
+	sys := gluenail.New(opts...)
+	must(sys.Load(src))
+	return sys
 }
 
 func must(err error) {

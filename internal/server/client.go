@@ -72,11 +72,15 @@ func (c *Client) Close() error {
 }
 
 // send performs one request/response exchange on the current connection,
-// surfacing wire errors as *WireError and transport failures raw.
+// surfacing wire errors as *WireError, an oversize request as
+// unsentError, and transport failures raw.
 func (c *Client) send(req *Request) (*Response, error) {
 	c.nextID++
 	req.ID = c.nextID
 	if err := WriteFrame(c.conn, req); err != nil {
+		if errors.Is(err, ErrFrameTooLarge) {
+			return nil, unsentError{err}
+		}
 		return nil, err
 	}
 	var resp Response
@@ -95,11 +99,21 @@ func (c *Client) send(req *Request) (*Response, error) {
 	return &resp, nil
 }
 
-// isWireErr reports whether err is a server-reported failure (the request
-// arrived and was answered) as opposed to a transport failure.
-func isWireErr(err error) bool {
+// unsentError wraps the ErrFrameTooLarge WriteFrame returns for an
+// oversize request. Nothing was written, so the connection is intact and
+// in frame sync, and the server never saw the request: it is neither
+// retried nor reported as ErrConnLost.
+type unsentError struct{ error }
+
+func (e unsentError) Unwrap() error { return e.error }
+
+// settled reports whether err is final for this request without a
+// transport failure: the server answered with a failure, or the request
+// was refused before any byte left the client.
+func settled(err error) bool {
 	var we *WireError
-	return errors.As(err, &we)
+	var ue unsentError
+	return errors.As(err, &we) || errors.As(err, &ue)
 }
 
 // roundTrip is the exchange for non-idempotent operations (writes, loads,
@@ -109,7 +123,7 @@ func isWireErr(err error) bool {
 // ErrConnLost instead of a raw io.EOF or net error.
 func (c *Client) roundTrip(req *Request) (*Response, error) {
 	resp, err := c.send(req)
-	if err != nil && !isWireErr(err) {
+	if err != nil && !settled(err) {
 		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
 	return resp, err
@@ -125,7 +139,7 @@ func (c *Client) roundTripIdempotent(req *Request) (*Response, error) {
 	if c.noReconnect {
 		return c.finish(resp, err)
 	}
-	for attempt := 0; err != nil && !isWireErr(err) && attempt < reconnectAttempts; attempt++ {
+	for attempt := 0; err != nil && !settled(err) && attempt < reconnectAttempts; attempt++ {
 		time.Sleep(backoff(attempt))
 		if derr := c.redial(); derr != nil {
 			err = derr
@@ -138,7 +152,7 @@ func (c *Client) roundTripIdempotent(req *Request) (*Response, error) {
 
 // finish types any remaining transport failure as ErrConnLost.
 func (c *Client) finish(resp *Response, err error) (*Response, error) {
-	if err != nil && !isWireErr(err) {
+	if err != nil && !settled(err) {
 		return nil, fmt.Errorf("%w: %v", ErrConnLost, err)
 	}
 	return resp, err

@@ -28,6 +28,7 @@ const MaxFrame = 16 << 20
 // ErrFrameTooLarge reports a message whose encoding exceeds MaxFrame.
 // WriteFrame returns it before writing any byte, so the stream stays in
 // frame sync and the writer may send a different message instead.
+// ReadFrame returns it for an announced length past MaxFrame.
 var ErrFrameTooLarge = errors.New("server: frame exceeds limit")
 
 // WriteFrame writes one length-prefixed JSON message.
@@ -56,7 +57,7 @@ func ReadFrame(r io.Reader, v any) error {
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > MaxFrame {
-		return fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrame)
+		return fmt.Errorf("%w: frame of %d bytes > %d", ErrFrameTooLarge, n, MaxFrame)
 	}
 	payload := make([]byte, n)
 	if _, err := io.ReadFull(r, payload); err != nil {

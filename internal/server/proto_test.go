@@ -113,8 +113,8 @@ func TestFrameTooLarge(t *testing.T) {
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], MaxFrame+1)
 	var v any
-	if err := ReadFrame(bytes.NewReader(hdr[:]), &v); err == nil {
-		t.Fatal("oversized frame accepted")
+	if err := ReadFrame(bytes.NewReader(hdr[:]), &v); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("oversized frame: got %v, want ErrFrameTooLarge", err)
 	}
 }
 

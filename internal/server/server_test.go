@@ -389,3 +389,33 @@ func TestServerOversizeResult(t *testing.T) {
 			counters["reads"], counters["sessions"])
 	}
 }
+
+// TestClientOversizeRequest: a request whose encoding exceeds MaxFrame
+// fails typed as ErrFrameTooLarge before any byte is sent. It is not a
+// lost connection: the client neither redials nor reports ErrConnLost
+// (an assert is not "maybe applied"), and its next query succeeds.
+func TestClientOversizeRequest(t *testing.T) {
+	addr, _, _ := startServer(t, Config{})
+	c := dial(t, addr)
+	big := strings.Repeat("x", MaxFrame+1<<20)
+
+	_, qerr := c.Query("edge(X, '" + big + "')")
+	aerr := c.Assert("edge", []any{1, big})
+	for op, err := range map[string]error{"query": qerr, "assert": aerr} {
+		if !errors.Is(err, ErrFrameTooLarge) || errors.Is(err, ErrConnLost) {
+			t.Errorf("oversize %s: got %v, want ErrFrameTooLarge and not ErrConnLost", op, err)
+		}
+	}
+	assertChain(t, c, 1, 2)
+	res, err := c.Query("tc(1, X)")
+	if err != nil || len(res.Rows) != 2 {
+		t.Fatalf("next query on the same client: %v, %v", res, err)
+	}
+	counters, _, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counters["sessions"] != 1 {
+		t.Fatalf("sessions=%d, want 1: the oversize request redialed", counters["sessions"])
+	}
+}
