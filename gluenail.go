@@ -391,7 +391,9 @@ type System struct {
 	machine  *vm.Machine
 	compiler *plan.Compiler
 	lp       *modsys.Program
-	// queries caches compiled query procedures by module and goal text;
+	// queries caches compiled query procedures by module and query shape
+	// (the goals with their liftable constants made parameters, see
+	// plan.LiftConstants), so distinct constants share one procedure;
 	// reset whenever the program is recompiled.
 	queries map[string]compiledQuery
 	// gen counts recompilations; Prepared handles carry the generation
@@ -413,6 +415,29 @@ type System struct {
 type compiledQuery struct {
 	id   string
 	vars []string
+}
+
+// queryCall is one query ready to run: its shape's procedure, the answer
+// variables, and the lifted constants, which are the procedure's in tuple.
+type queryCall struct {
+	compiledQuery
+	in term.Tuple
+}
+
+// result shapes the procedure's answers into a Result: the lifted
+// parameters are dropped from the front of every tuple and the rows
+// sorted.
+func (q queryCall) result(tuples []term.Tuple) *Result {
+	res := &Result{Vars: q.vars}
+	sorted := make([]term.Tuple, len(tuples))
+	for i, t := range tuples {
+		sorted[i] = t[len(q.in):]
+	}
+	sortTuples(sorted)
+	for _, t := range sorted {
+		res.Rows = append(res.Rows, []Value(t))
+	}
+	return res
 }
 
 // New creates an empty system. The GLUENAIL_WORKERS and
@@ -1046,31 +1071,24 @@ func (s *System) QueryInContext(ctx context.Context, module, goals string) (*Res
 	if err := s.ensure(); err != nil {
 		return nil, err
 	}
-	id, vars, err := s.prepareQuery(module, goals)
+	q, err := s.prepareQuery(module, goals)
 	if err != nil {
 		return nil, err
 	}
-	return s.runQueryProc(ctx, id, vars)
+	return s.runQueryProc(ctx, q)
 }
 
 // runQueryProc executes an already-compiled query procedure and shapes
 // its answers into a Result: the shared tail of Query and
 // Prepared.Execute.
-func (s *System) runQueryProc(ctx context.Context, id string, vars []string) (*Result, error) {
+func (s *System) runQueryProc(ctx context.Context, q queryCall) (*Result, error) {
 	ctx, cancel := s.execCtx(ctx)
 	defer cancel()
-	tuples, err := s.machine.CallProcContext(ctx, id, []term.Tuple{{}})
+	tuples, err := s.machine.CallProcContext(ctx, q.id, []term.Tuple{q.in})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Vars: vars}
-	sorted := make([]term.Tuple, len(tuples))
-	copy(sorted, tuples)
-	sortTuples(sorted)
-	for _, t := range sorted {
-		res.Rows = append(res.Rows, []Value(t))
-	}
-	return res, nil
+	return q.result(tuples), nil
 }
 
 // Prepared is a reusable handle to a compiled query: the goal conjunction
@@ -1083,8 +1101,7 @@ type Prepared struct {
 	sys    *System
 	module string
 	goals  string
-	id     string
-	vars   []string
+	q      queryCall
 	gen    uint64
 }
 
@@ -1101,16 +1118,16 @@ func (s *System) PrepareIn(module, goals string) (*Prepared, error) {
 	if err := s.ensure(); err != nil {
 		return nil, err
 	}
-	id, vars, err := s.prepareQuery(module, goals)
+	q, err := s.prepareQuery(module, goals)
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{sys: s, module: module, goals: goals, id: id, vars: vars, gen: s.gen}, nil
+	return &Prepared{sys: s, module: module, goals: goals, q: q, gen: s.gen}, nil
 }
 
 // Vars returns the query's output variable names in first-occurrence
 // order (the columns of every Execute result).
-func (p *Prepared) Vars() []string { return p.vars }
+func (p *Prepared) Vars() []string { return p.q.vars }
 
 // Execute runs the prepared query and returns its sorted answers.
 func (p *Prepared) Execute() (*Result, error) {
@@ -1126,32 +1143,43 @@ func (p *Prepared) ExecuteContext(ctx context.Context) (*Result, error) {
 	if err := s.ensure(); err != nil {
 		return nil, err
 	}
-	if p.gen != s.gen {
-		// The program was recompiled since this handle was prepared (new
-		// Load or Register): the old procedure ID is gone, so re-prepare
-		// against the fresh compilation.
-		id, vars, err := s.prepareQuery(p.module, p.goals)
-		if err != nil {
-			return nil, err
-		}
-		p.id, p.vars, p.gen = id, vars, s.gen
+	if err := s.refresh(p); err != nil {
+		return nil, err
 	}
-	return s.runQueryProc(ctx, p.id, p.vars)
+	return s.runQueryProc(ctx, p.q)
 }
 
-// prepareQuery compiles a goal conjunction into a query procedure (cached
-// per module and goal text) and returns its ID and output variable names.
-func (s *System) prepareQuery(module, goals string) (string, []string, error) {
-	key := module + "\x00" + goals
+// refresh re-prepares p if the program was recompiled since p was
+// prepared (new Load or Register): the old procedure ID is gone. The
+// lifted constants come from p's text again, so they are unchanged.
+// Called with mu held.
+func (s *System) refresh(p *Prepared) error {
+	if p.gen == s.gen {
+		return nil
+	}
+	q, err := s.prepareQuery(p.module, p.goals)
+	if err != nil {
+		return err
+	}
+	p.q, p.gen = q, s.gen
+	return nil
+}
+
+// prepareQuery parses a goal conjunction, lifts its constants, and
+// compiles the resulting shape into a query procedure — once per module
+// and shape — returning the call that answers the conjunction.
+func (s *System) prepareQuery(module, goals string) (queryCall, error) {
+	gs, err := parser.ParseGoals(goals)
+	if err != nil {
+		return queryCall{}, err
+	}
+	shape, vals := s.compiler.LiftConstants(module, gs)
+	key := module + "\x00" + ast.FormatGoals(shape)
 	cq, cached := s.queries[key]
 	if !cached {
-		gs, err := parser.ParseGoals(goals)
+		id, vars, err := s.compiler.CompileQuery(module, shape, len(vals))
 		if err != nil {
-			return "", nil, err
-		}
-		id, vars, err := s.compiler.CompileQuery(module, gs)
-		if err != nil {
-			return "", nil, err
+			return queryCall{}, err
 		}
 		cq = compiledQuery{id: id, vars: vars}
 		s.queries[key] = cq
@@ -1159,7 +1187,10 @@ func (s *System) prepareQuery(module, goals string) (string, []string, error) {
 		// machines need a fresh immutable view.
 		s.viewDirty = true
 	}
-	return cq.id, cq.vars, nil
+	if vals == nil {
+		vals = term.Tuple{}
+	}
+	return queryCall{compiledQuery: cq, in: vals}, nil
 }
 
 // Explain returns the physical plan the statistics-driven planner would
@@ -1194,7 +1225,7 @@ func (s *System) explainQuery(module, goals string, analyze bool) (string, error
 	if err := s.ensure(); err != nil {
 		return "", err
 	}
-	id, _, err := s.prepareQuery(module, goals)
+	q, err := s.prepareQuery(module, goals)
 	if err != nil {
 		return "", err
 	}
@@ -1204,11 +1235,11 @@ func (s *System) explainQuery(module, goals string, analyze bool) (string, error
 		beforeEDB, beforeScratch = *s.edb.Stats(), *s.temp.Stats()
 		ctx, cancel := s.execCtx(context.Background())
 		defer cancel()
-		if _, err := s.machine.CallProcContext(ctx, id, []term.Tuple{{}}); err != nil {
+		if _, err := s.machine.CallProcContext(ctx, q.id, []term.Tuple{q.in}); err != nil {
 			return "", err
 		}
 	}
-	text, err := s.renderPhysical(id, analyze)
+	text, err := s.renderPhysical(q.id, analyze)
 	if err != nil || !analyze {
 		return text, err
 	}

@@ -187,6 +187,13 @@ func FormatRule(r *Rule) string {
 	return sb.String()
 }
 
+// FormatGoals renders a goal conjunction.
+func FormatGoals(goals []Goal) string {
+	var sb strings.Builder
+	writeGoals(&sb, goals)
+	return sb.String()
+}
+
 func writeGoals(sb *strings.Builder, goals []Goal) {
 	for i, g := range goals {
 		if i > 0 {

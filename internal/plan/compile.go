@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"gluenail/internal/ast"
@@ -63,25 +64,105 @@ func (c *Compiler) CompileAll() error {
 }
 
 // CompileQuery compiles a goal conjunction as a transient procedure in the
-// given module's scope. It returns the procedure ID and the answer-variable
-// names in first-occurrence order.
-func (c *Compiler) CompileQuery(module string, goals []ast.Goal) (string, []string, error) {
+// given module's scope. Its first nparams bound parameters are the
+// variables LiftConstants put in place of constants, fed through in, so
+// every conjunction of one shape shares the procedure. It returns the
+// procedure ID and the answer-variable names in first-occurrence order;
+// answer tuples carry the parameters first.
+func (c *Compiler) CompileQuery(module string, goals []ast.Goal, nparams int) (string, []string, error) {
 	if c.lp.Modules[module] == nil {
 		return "", nil, fmt.Errorf("plan: unknown module %q", module)
 	}
-	vars := goalVars(goals)
+	var params, vars []string
+	for i := 0; i < nparams; i++ {
+		params = append(params, paramVar(i))
+	}
+	for _, v := range goalVars(goals) {
+		if !strings.HasPrefix(v, "$") {
+			vars = append(vars, v)
+		}
+	}
 	c.queryN++
 	name := fmt.Sprintf("$query%d", c.queryN)
-	proc := &ast.Proc{Name: name, FreeParams: vars}
+	proc := &ast.Proc{Name: name, BoundParams: params, FreeParams: vars}
 	head := &ast.AtomTerm{Pred: constStr("return")}
-	for _, v := range vars {
-		head.Args = append(head.Args, &ast.VarTerm{Name: v})
+	for _, names := range [][]string{params, vars} {
+		for _, v := range names {
+			head.Args = append(head.Args, &ast.VarTerm{Name: v})
+		}
 	}
 	proc.Body = []ast.Stmt{&ast.Assign{
-		Op: ast.OpAssign, Head: head, IsReturn: true, HeadBound: 0, Body: goals,
+		Op: ast.OpAssign, Head: head, IsReturn: true, HeadBound: nparams, Body: goals,
 	}}
 	id, err := c.compileProc(module, proc, "")
 	return id, vars, err
+}
+
+// paramVar names the i-th lifted-constant parameter. Source variables
+// cannot start with '$', so the names never collide with the query's own.
+func paramVar(i int) string { return "$" + strconv.Itoa(i) }
+
+// LiftConstants rewrites a query conjunction into its shape: each
+// top-level constant argument of an atom goal that names a module
+// predicate (EDB relation, Glue procedure or NAIL! predicate) becomes a
+// fresh parameter variable, and the constants come back, in order, as the
+// parameters' values. Conjunctions that differ only in those constants
+// have the same shape. Builtin calls, update subgoals, compound-term
+// contents, predicate names, comparisons and aggregates stay literal. A
+// conjunction with a HiLog predicate variable is returned unchanged: its
+// dispatch would see the parameters' in relation as a candidate.
+// CompileQuery(module, shape, len(vals)) called with the input tuple vals
+// answers exactly the original conjunction.
+func (c *Compiler) LiftConstants(module string, goals []ast.Goal) (shape []ast.Goal, vals term.Tuple) {
+	if c.lp.Modules[module] == nil {
+		return goals, nil
+	}
+	for _, g := range goals {
+		if ag, ok := g.(*ast.AtomGoal); ok {
+			switch pred := ag.Atom.Pred.(type) {
+			case *ast.Const:
+				if pred.Val.Kind() == term.Str && pred.Val.Str() == "in" {
+					return goals, nil // the query reads its own (empty) in
+				}
+			case *ast.CompTerm:
+				if _, ground := astGroundValue(pred); !ground {
+					return goals, nil
+				}
+			default:
+				return goals, nil
+			}
+		}
+	}
+	shape = make([]ast.Goal, len(goals))
+	for i, g := range goals {
+		shape[i] = g
+		ag, ok := g.(*ast.AtomGoal)
+		if !ok || ag.Update != ast.UpdateNone {
+			continue
+		}
+		if pred, isName := ag.Atom.Pred.(*ast.Const); isName &&
+			(pred.Val.Kind() != term.Str || c.lp.Resolve(module, pred.Val.Str()) == nil) {
+			continue // a builtin (or an unknown name, which compiling reports)
+		}
+		var args []ast.Term
+		for j, a := range ag.Atom.Args {
+			k, isConst := a.(*ast.Const)
+			if !isConst {
+				continue
+			}
+			if args == nil {
+				args = append([]ast.Term(nil), ag.Atom.Args...)
+			}
+			args[j] = &ast.VarTerm{Name: paramVar(len(vals)), Pos: k.Pos}
+			vals = append(vals, k.Val)
+		}
+		if args != nil {
+			lifted := *ag
+			lifted.Atom = &ast.AtomTerm{Pred: ag.Atom.Pred, Args: args, Pos: ag.Atom.Pos}
+			shape[i] = &lifted
+		}
+	}
+	return shape, vals
 }
 
 // goalVars returns named variables in first-occurrence order.

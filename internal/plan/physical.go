@@ -405,7 +405,8 @@ func rebindArgs(args []term.Pattern, bound map[int]bool) (uint32, []int) {
 			mask |= 1 << uint(i)
 		}
 	}
-	var all []int
+	var buf [8]int // stays on the stack unless the args hold more registers
+	all := buf[:0]
 	for _, a := range args {
 		all = a.Regs(all)
 	}
@@ -420,7 +421,8 @@ func rebindArgs(args []term.Pattern, bound map[int]bool) (uint32, []int) {
 
 // patBoundIn reports whether every register of p is in the bound set.
 func patBoundIn(p term.Pattern, bound map[int]bool) bool {
-	for _, r := range p.Regs(nil) {
+	var buf [8]int
+	for _, r := range p.Regs(buf[:0]) {
 		if !bound[r] {
 			return false
 		}
@@ -431,7 +433,8 @@ func patBoundIn(p term.Pattern, bound map[int]bool) bool {
 // unboundPatRegs lists the registers of p not yet bound, in traversal order.
 func unboundPatRegs(p term.Pattern, bound map[int]bool) []int {
 	var out []int
-	for _, r := range p.Regs(nil) {
+	var buf [8]int
+	for _, r := range p.Regs(buf[:0]) {
 		if !bound[r] {
 			out = append(out, r)
 		}
@@ -464,28 +467,27 @@ func exprBoundIn(e Expr, bound map[int]bool) bool {
 // pattern; negated ops and comparisons bind nothing (mirroring markBound in
 // the statement compiler).
 func markOpBound(op PipeOp, bound map[int]bool) {
+	var buf [8]int
+	regs := buf[:0]
 	switch op := op.(type) {
 	case *Match:
 		if op.Negated {
 			return
 		}
 		for _, a := range op.Args {
-			for _, r := range a.Regs(nil) {
-				bound[r] = true
-			}
+			regs = a.Regs(regs)
 		}
 	case *DynMatch:
 		if op.Negated {
 			return
 		}
 		for _, a := range op.Args {
-			for _, r := range a.Regs(nil) {
-				bound[r] = true
-			}
+			regs = a.Regs(regs)
 		}
 	case *MatchBind:
-		for _, r := range op.Pat.Regs(nil) {
-			bound[r] = true
-		}
+		regs = op.Pat.Regs(regs)
+	}
+	for _, r := range regs {
+		bound[r] = true
 	}
 }

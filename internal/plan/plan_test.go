@@ -339,7 +339,7 @@ func TestCompileQueryVars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, vars, err := c.CompileQuery("main", goals)
+	id, vars, err := c.CompileQuery("main", goals, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +349,7 @@ func TestCompileQueryVars(t *testing.T) {
 	if _, ok := c.Program().Procs[id]; !ok {
 		t.Error("query proc missing")
 	}
-	if _, _, err := c.CompileQuery("zzz", goals); err == nil {
+	if _, _, err := c.CompileQuery("zzz", goals, 0); err == nil {
 		t.Error("unknown module should fail")
 	}
 }

@@ -92,7 +92,7 @@ func TestConcurrentLookupDuringIndexBuild(t *testing.T) {
 func TestPrepareRead(t *testing.T) {
 	stats := &Stats{}
 	rel := stressRelation(1000, 50, IndexAdaptive, stats)
-	rel.PrepareRead(0b01, 2) // 2 lookups * 1000 rows >= adaptiveFactor * 1000
+	rel.PrepareRead(0b01, 2) // 2 lookups * 1000 rows >= AdaptiveFactor * 1000
 	if !rel.HasIndex(0b01) {
 		t.Fatal("PrepareRead did not build the decided index")
 	}
@@ -133,7 +133,7 @@ func TestPrepareRead(t *testing.T) {
 func TestPrepareReadBelowThreshold(t *testing.T) {
 	stats := &Stats{}
 	rel := stressRelation(1000, 50, IndexAdaptive, stats)
-	rel.PrepareRead(0b01, 1) // 1*1000 < adaptiveFactor*1000
+	rel.PrepareRead(0b01, 1) // 1*1000 < AdaptiveFactor*1000
 	if rel.HasIndex(0b01) {
 		t.Fatal("PrepareRead built an index before the adaptive threshold")
 	}
@@ -147,7 +147,7 @@ func TestPrepareReadBelowThreshold(t *testing.T) {
 // TestAdaptiveCreditAtomic hammers the adaptive credit counter itself: many
 // goroutines race single Lookups on a cold mask so the per-mask atomic
 // counter takes every increment concurrently. Exactly one index build must
-// result, and no credit may be lost — with adaptiveFactor scans' worth of
+// result, and no credit may be lost — with AdaptiveFactor scans' worth of
 // credit outstanding the index must exist afterwards. Run under -race this
 // is the regression test for the lock-free credit path.
 func TestAdaptiveCreditAtomic(t *testing.T) {
@@ -181,7 +181,7 @@ func TestAdaptiveCreditAtomic(t *testing.T) {
 	}
 }
 
-// TestAdaptiveCreditNoLoss races exactly adaptiveFactor single-lookup
+// TestAdaptiveCreditNoLoss races exactly AdaptiveFactor single-lookup
 // PrepareRead announcements: if any concurrent increment were lost, the
 // accumulated credit would fall short and no index would be built.
 func TestAdaptiveCreditNoLoss(t *testing.T) {
@@ -189,7 +189,7 @@ func TestAdaptiveCreditNoLoss(t *testing.T) {
 		rel := stressRelation(200, 10, IndexAdaptive, &Stats{})
 		var wg sync.WaitGroup
 		start := make(chan struct{})
-		for g := 0; g < adaptiveFactor; g++ {
+		for g := 0; g < AdaptiveFactor; g++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
@@ -201,7 +201,7 @@ func TestAdaptiveCreditNoLoss(t *testing.T) {
 		wg.Wait()
 		if !rel.HasIndex(0b01) {
 			t.Fatalf("round %d: %d racing announcements lost credit; index not built",
-				round, adaptiveFactor)
+				round, AdaptiveFactor)
 		}
 	}
 }

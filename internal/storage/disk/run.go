@@ -76,17 +76,25 @@ type run struct {
 	// bloom screens membership probes; built at create, persisted in the
 	// footer, reloaded with it.
 	bloom *bloomFilter
-	// Chain index: hashes caches each row's whole-tuple hash; buckets/next
-	// chain rows by hash exactly like the main-memory Relation (slot+1
-	// links). Resident from creation for freshly written runs; loaded on
-	// demand from hashOff for reopened RUN2 runs (idxReady gates access,
-	// its Store/Load ordering publishes the slices).
+	// Chain index: hashes caches each row's whole-tuple hash; heads/next
+	// chain rows by hash in the main-memory Relation's head-table layout
+	// (slot+1 links, ascending slot order), with one head per two rows so
+	// the index costs at most 8 bytes a row beyond hashes. RUN2 runs, new
+	// or reopened, load it on demand from hashOff — a run only ever read
+	// by partial-key lookups never holds it; idxReady gates access, its
+	// Store/Load ordering publishes the slices.
 	hashOff  int64
 	idxMu    sync.Mutex
 	idxReady atomic.Bool
 	hashes   []uint64
-	buckets  map[uint64]int32
+	heads    []int32
+	shift    uint
 	next     []int32
+	// colIxs holds the run's column indexes (colindex.go), one per column
+	// mask snapshot reads have looked up; the list is copy-on-write under
+	// colMu and loaded lock-free.
+	colMu  sync.Mutex
+	colIxs atomic.Pointer[[]*colIndex]
 	// synced records that the file's contents are durable (fsynced);
 	// FlushBase syncs any stragglers before the manifest names them.
 	synced atomic.Bool
@@ -105,6 +113,7 @@ func (r *run) release() {
 		// Read-only handle over durable (or already-retired) bytes: a
 		// close failure can lose nothing, so it is deliberately dropped.
 		_ = r.f.Close()
+		r.colIxs.Store(nil)
 	}
 }
 
@@ -174,9 +183,9 @@ func (r *run) mayContain(st *storage.Stats, h uint64) bool {
 	return true
 }
 
-// ensureIndex makes the chain index resident: freshly created runs carry
-// it from birth; reopened RUN2 runs load the hash section and build the
-// buckets here, on the first probe a bloom filter lets through.
+// ensureIndex makes the chain index resident: RUN2 runs load the hash
+// section and build the chains here, on the first probe a bloom filter
+// lets through (RUN1 runs build theirs at open).
 func (r *run) ensureIndex(st *storage.Stats) error {
 	if r.idxReady.Load() {
 		return nil
@@ -303,13 +312,10 @@ func createRun(s *Store, seq uint64, arity int, rows []term.Tuple, hashes []uint
 		seq: seq, path: path, f: rf, arity: arity,
 		nrows: int32(len(rows)), blocks: blocks,
 		v2: true, dict: s.dict, hashOff: hashOff,
-		hashes: hashes,
 	}
 	if !s.opts.NoBloom {
 		r.bloom = bloomFrom(hashes)
 	}
-	r.buildIndex()
-	r.idxReady.Store(true)
 	r.synced.Store(sync)
 	r.refs.Store(1)
 	return r, nil
@@ -552,16 +558,22 @@ func decodeLegacyBlock(payload []byte) ([]term.Tuple, error) {
 	return rows, nil
 }
 
-// buildIndex chains the rows by cached hash, identical in layout to the
-// main-memory Relation's intrusive buckets.
+// buildIndex chains the rows by cached hash, walking from the last slot
+// down so every chain runs in ascending slot order.
 func (r *run) buildIndex() {
-	r.buckets = make(map[uint64]int32, len(r.hashes))
+	r.heads, r.shift = storage.NewHeads((len(r.hashes) + 1) / 2)
 	r.next = make([]int32, len(r.hashes))
-	for i, h := range r.hashes {
-		r.next[i] = r.buckets[h]
-		r.buckets[h] = int32(i) + 1
+	for i := len(r.hashes) - 1; i >= 0; i-- {
+		b := storage.BucketOf(r.hashes[i], r.shift)
+		r.next[i] = r.heads[b]
+		r.heads[b] = int32(i) + 1
 	}
 }
+
+// chain returns slot+1 of the first row in h's hash chain (0 = empty);
+// next links the rest. Chains mix hashes that share a bucket, so callers
+// compare hashes[slot] with h. The index must be resident (ensureIndex).
+func (r *run) chain(h uint64) int32 { return r.heads[storage.BucketOf(h, r.shift)] }
 
 // block returns the decoded rows of block bi, via the cache.
 func (r *run) block(c *blockCache, st *storage.Stats, bi int) ([]term.Tuple, error) {

@@ -226,7 +226,7 @@ func (r *snapRel) Contains(t term.Tuple) bool {
 		if err := rn.ensureIndex(r.stats); err != nil {
 			panic(err)
 		}
-		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
+		for i := rn.chain(h); i != 0; i = rn.next[i-1] {
 			slot := i - 1
 			if rn.hashes[slot] != h || !r.visible(rn, slot) {
 				continue
@@ -261,15 +261,17 @@ func (r *snapRel) Scan(yield func(term.Tuple) bool) {
 }
 
 // Lookup implements storage.Rel. Run-resident rows are answered by hash
-// probe (full mask) or filtered scan; the captured memtable view brings
-// the adaptive indexes shared by snapshots of the same memtable header.
+// probe (full mask) or, per run, by the run's column index once the run
+// has earned one and a filtered scan until then; the captured memtable
+// view brings the adaptive indexes shared by snapshots of the same
+// memtable header. Either way each run yields its matches in slot order.
 func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 	if mask == 0 || r.Len() == 0 {
 		r.Scan(yield)
 		return
 	}
-	full := (uint32(1) << uint(r.src.arity)) - 1
-	if mask == full {
+	cache := r.src.st.cache
+	if mask == r.src.fullMask() {
 		h := key.Hash()
 		for _, rn := range r.runs {
 			if !rn.mayContain(r.stats, h) {
@@ -278,12 +280,12 @@ func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 			if err := rn.ensureIndex(r.stats); err != nil {
 				panic(err)
 			}
-			for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
+			for i := rn.chain(h); i != 0; i = rn.next[i-1] {
 				slot := i - 1
 				if rn.hashes[slot] != h || !r.visible(rn, slot) {
 					continue
 				}
-				u, err := rn.tupleAt(r.src.st.cache, r.stats, slot)
+				u, err := rn.tupleAt(cache, r.stats, slot)
 				if err != nil {
 					panic(err)
 				}
@@ -296,16 +298,22 @@ func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 		return
 	}
 	stopped := false
+	filtered := func(t term.Tuple) bool {
+		if t.EqualCols(key, mask) && !yield(t) {
+			stopped = true
+			return false
+		}
+		return true
+	}
 	for _, rn := range r.runs {
-		more, err := rn.scan(r.src.st.cache, r.stats, func(slot int32) bool {
-			return r.visible(rn, slot)
-		}, func(t term.Tuple) bool {
-			if t.EqualCols(key, mask) && !yield(t) {
-				stopped = true
-				return false
-			}
-			return true
-		})
+		visible := func(slot int32) bool { return r.visible(rn, slot) }
+		var more bool
+		var err error
+		if ix := rn.columnIndex(cache, r.stats, r.src.st.opts.Policy, mask, 1); ix != nil {
+			more, err = ix.probe(rn, cache, r.stats, key, visible, yield)
+		} else {
+			more, err = rn.scan(cache, r.stats, visible, filtered)
+		}
 		if err != nil {
 			panic(err)
 		}
@@ -316,10 +324,18 @@ func (r *snapRel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) boo
 	r.mem.Lookup(mask, key, yield)
 }
 
-// PrepareRead implements storage.Rel for the memtable layer; run-resident
-// lookups on snapshots stay scan-based.
+// PrepareRead implements storage.Rel: it pre-pays the scan credit for the
+// imminent lookups on both layers — each run's shared column index and
+// the memtable view's — building what the policy says should exist now,
+// so concurrent morsel readers find it published.
 func (r *snapRel) PrepareRead(mask uint32, lookups int) {
 	r.mem.PrepareRead(mask, lookups)
+	if mask == 0 || mask == r.src.fullMask() || lookups <= 0 {
+		return
+	}
+	for _, rn := range r.runs {
+		rn.columnIndex(r.src.st.cache, r.stats, r.src.st.opts.Policy, mask, int64(lookups))
+	}
 }
 
 // All implements storage.Rel.

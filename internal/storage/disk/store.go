@@ -633,9 +633,9 @@ func (r *Rel) Delete(t term.Tuple) bool {
 		if err := rn.ensureIndex(r.st.stats); err != nil {
 			panic(err)
 		}
-		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
+		for i := rn.chain(h); i != 0; i = rn.next[i-1] {
 			slot := i - 1
-			if rn.tombAt(slot) != 0 {
+			if rn.hashes[slot] != h || rn.tombAt(slot) != 0 {
 				continue
 			}
 			u, err := rn.tupleAt(r.st.cache, r.st.stats, slot)
@@ -786,7 +786,7 @@ func (r *Rel) runsContainIn(runs []*run, h uint64, t term.Tuple) bool {
 		if err := rn.ensureIndex(r.st.stats); err != nil {
 			panic(err)
 		}
-		for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
+		for i := rn.chain(h); i != 0; i = rn.next[i-1] {
 			slot := i - 1
 			if rn.hashes[slot] != h || rn.tombAt(slot) != 0 {
 				continue
@@ -841,7 +841,7 @@ func (r *Rel) Lookup(mask uint32, key term.Tuple, yield func(term.Tuple) bool) {
 			if err := rn.ensureIndex(r.st.stats); err != nil {
 				panic(err)
 			}
-			for i := rn.buckets[h]; i != 0; i = rn.next[i-1] {
+			for i := rn.chain(h); i != 0; i = rn.next[i-1] {
 				slot := i - 1
 				if rn.hashes[slot] != h || rn.tombAt(slot) != 0 {
 					continue
@@ -967,7 +967,7 @@ func (r *Rel) creditRunScan(mask uint32, scans int64) *sync.Once {
 		r.ixMu.Unlock()
 	}
 	n := r.diskLive.Load()
-	if c.Add(scans*n) >= 2*n {
+	if c.Add(scans*n) >= storage.AdaptiveFactor*n {
 		return r.runIxGuard(mask)
 	}
 	return nil
@@ -1016,8 +1016,11 @@ func ixRemove(ix *hashIx, t term.Tuple) {
 	bucket := ix.buckets[h]
 	for i, u := range bucket {
 		if u.Equal(t) {
+			// Close the hole in place: probes must keep enumerating
+			// matches in insertion order, as a scan would.
 			last := len(bucket) - 1
-			bucket[i] = bucket[last]
+			copy(bucket[i:], bucket[i+1:])
+			bucket[last] = nil
 			bucket = bucket[:last]
 			if len(bucket) == 0 {
 				delete(ix.buckets, h)

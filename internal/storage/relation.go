@@ -49,10 +49,10 @@ const (
 	IndexAlways
 )
 
-// adaptiveFactor scales the index build-cost estimate: with factor f, an
+// AdaptiveFactor scales the index build-cost estimate: with factor f, an
 // index over a relation of n rows is built once roughly f*n rows have been
 // scanned on its behalf.
-const adaptiveFactor = 2
+const AdaptiveFactor = 2
 
 // Column-distinct tracking: each column keeps an exact multiset of value
 // hashes while small, falling back to a fixed-size linear-counting sketch
@@ -387,7 +387,7 @@ type Relation struct {
 	// 4-8 bytes per tuple where a map[uint64]int32 costs ~36. Slots are
 	// int32 (a relation holds < 2^31 tuples).
 	heads   []int32
-	shift   uint // bucketOf shift for heads
+	shift   uint // BucketOf shift for heads
 	next    []int32
 	n       int // live tuples
 	tombs   int // dead-stamped slots in tuples
@@ -521,7 +521,7 @@ func (r *Relation) Insert(t term.Tuple) bool {
 	if r.n >= len(r.heads) {
 		r.rechain(2 * r.n)
 	}
-	b := bucketOf(h, r.shift)
+	b := BucketOf(h, r.shift)
 	r.next = append(r.next, r.heads[b])
 	r.heads[b] = int32(len(r.tuples)) + 1
 	r.tuples = append(r.tuples, t)
@@ -557,7 +557,7 @@ func (r *Relation) Delete(t term.Tuple) bool {
 		return false
 	}
 	h := t.Hash()
-	b := bucketOf(h, r.shift)
+	b := BucketOf(h, r.shift)
 	prev := int32(0)
 	for i := r.heads[b]; i != 0; prev, i = i, r.next[i-1] {
 		u := r.tuples[i-1]
@@ -624,10 +624,10 @@ func (r *Relation) compact() {
 	r.dropSnapIndexes()
 }
 
-// newHeads returns an empty hash-chain head table of the smallest power
-// of two (at least 8) entries holding want slots, and the shift bucketOf
+// NewHeads returns an empty hash-chain head table of the smallest power
+// of two (at least 8) entries holding want slots, and the shift BucketOf
 // needs for it.
-func newHeads(want int) ([]int32, uint) {
+func NewHeads(want int) ([]int32, uint) {
 	bits := uint(3)
 	for 1<<bits < want {
 		bits++
@@ -635,10 +635,10 @@ func newHeads(want int) ([]int32, uint) {
 	return make([]int32, 1<<bits), 64 - bits
 }
 
-// bucketOf maps a hash to its bucket in a head table from newHeads
+// BucketOf maps a hash to its bucket in a head table from NewHeads
 // (Fibonacci hashing: the multiply spreads the hash's entropy into the
 // top bits kept).
-func bucketOf(h uint64, shift uint) uint64 { return (h * 0x9e3779b97f4a7c15) >> shift }
+func BucketOf(h uint64, shift uint) uint64 { return (h * 0x9e3779b97f4a7c15) >> shift }
 
 // find returns slot+1 of the live tuple equal to t, whose whole-tuple
 // hash is h, or 0.
@@ -646,7 +646,7 @@ func (r *Relation) find(h uint64, t term.Tuple) int32 {
 	if r.n == 0 {
 		return 0
 	}
-	for i := r.heads[bucketOf(h, r.shift)]; i != 0; i = r.next[i-1] {
+	for i := r.heads[BucketOf(h, r.shift)]; i != 0; i = r.next[i-1] {
 		if r.hashes[i-1] == h {
 			if u := r.tuples[i-1]; u != nil && u.Equal(t) {
 				return i
@@ -660,12 +660,12 @@ func (r *Relation) find(h uint64, t term.Tuple) int32 {
 // holding want tuples and chains every live slot into it in insertion
 // order, so each chain starts at its most recent tuple.
 func (r *Relation) rechain(want int) {
-	r.heads, r.shift = newHeads(want)
+	r.heads, r.shift = NewHeads(want)
 	for i, t := range r.tuples {
 		if t == nil || r.deadAt(i) {
 			continue
 		}
-		b := bucketOf(r.hashes[i], r.shift)
+		b := BucketOf(r.hashes[i], r.shift)
 		r.next[i] = r.heads[b]
 		r.heads[b] = int32(i) + 1
 	}
@@ -830,7 +830,7 @@ func (r *Relation) creditScan(mask uint32, scans int64) *sync.Once {
 		}
 		r.mu.Unlock()
 	}
-	if c.Add(scans*int64(r.n)) >= adaptiveFactor*int64(r.n) {
+	if c.Add(scans*int64(r.n)) >= AdaptiveFactor*int64(r.n) {
 		return r.buildGuard(mask)
 	}
 	return nil

@@ -385,7 +385,7 @@ type snapIndex struct {
 // hashes with the whole-tuple hash the header caches per slot.
 func (ix *snapIndex) build(r *SnapRel) {
 	n := len(r.tuples)
-	ix.heads, ix.shift = newHeads(n)
+	ix.heads, ix.shift = NewHeads(n)
 	ix.next = make([]int32, n)
 	full := ix.mask == fullColsMask(r.arity)
 	for i := n - 1; i >= 0; i-- {
@@ -393,7 +393,7 @@ func (ix *snapIndex) build(r *SnapRel) {
 		if !full {
 			h = r.tuples[i].HashCols(ix.mask)
 		}
-		b := bucketOf(h, ix.shift)
+		b := BucketOf(h, ix.shift)
 		ix.next[i] = ix.heads[b]
 		ix.heads[b] = int32(i) + 1
 	}
@@ -449,7 +449,7 @@ func (r *SnapRel) creditAndMaybeBuild(mask uint32, scans int64) *snapIndex {
 		}
 		r.mu.Unlock()
 	}
-	if c.Add(scans*rows) < adaptiveFactor*rows {
+	if c.Add(scans*rows) < AdaptiveFactor*rows {
 		return nil
 	}
 	ix := r.indexSlot(mask)
@@ -509,7 +509,7 @@ func (r *SnapRel) probe(ix *snapIndex, key term.Tuple, yield func(term.Tuple) bo
 	if !full {
 		h = key.HashCols(ix.mask)
 	}
-	for i := ix.heads[bucketOf(h, ix.shift)]; i != 0; i = ix.next[i-1] {
+	for i := ix.heads[BucketOf(h, ix.shift)]; i != 0; i = ix.next[i-1] {
 		slot := int(i - 1)
 		if full && r.hashes[slot] != h {
 			continue

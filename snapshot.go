@@ -193,11 +193,11 @@ func (sn *Snapshot) QueryInContext(ctx context.Context, module, goals string) (*
 	if sn.closed {
 		return nil, errSnapshotClosed
 	}
-	id, vars, prog, err := sn.sys.compileQueryView(module, goals)
+	q, prog, err := sn.sys.compileQueryView(module, goals)
 	if err != nil {
 		return nil, err
 	}
-	return sn.run(ctx, prog, id, vars)
+	return sn.run(ctx, prog, q)
 }
 
 // Execute runs a prepared query against the snapshot: the server's hot
@@ -217,11 +217,11 @@ func (sn *Snapshot) ExecuteContext(ctx context.Context, p *Prepared) (*Result, e
 	if sn.closed {
 		return nil, errSnapshotClosed
 	}
-	id, vars, prog, err := sn.sys.preparedView(p)
+	q, prog, err := sn.sys.preparedView(p)
 	if err != nil {
 		return nil, err
 	}
-	return sn.run(ctx, prog, id, vars)
+	return sn.run(ctx, prog, q)
 }
 
 // Relation returns the snapshot's sorted contents of an EDB relation —
@@ -245,61 +245,49 @@ func (sn *Snapshot) Relation(relation any, arity int) ([][]Value, error) {
 
 // run executes a compiled query procedure on the session machine under
 // the session budget. Called with sn.mu held.
-func (sn *Snapshot) run(ctx context.Context, prog *plan.Program, id string, vars []string) (*Result, error) {
+func (sn *Snapshot) run(ctx context.Context, prog *plan.Program, q queryCall) (*Result, error) {
 	sn.machine.Prog = prog
 	if sn.budget.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, sn.budget.Timeout)
 		defer cancel()
 	}
-	tuples, err := sn.machine.CallProcContext(ctx, id, []term.Tuple{{}})
+	tuples, err := sn.machine.CallProcContext(ctx, q.id, []term.Tuple{q.in})
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Vars: vars}
-	sorted := make([]term.Tuple, len(tuples))
-	copy(sorted, tuples)
-	sortTuples(sorted)
-	for _, t := range sorted {
-		res.Rows = append(res.Rows, []Value(t))
-	}
-	return res, nil
+	return q.result(tuples), nil
 }
 
 var errSnapshotClosed = fmt.Errorf("gluenail: snapshot session is closed")
 
 // compileQueryView compiles (or re-serves from cache) a query under the
-// system lock and returns its procedure ID, output variables, and the
-// immutable program view a snapshot machine may execute without racing
-// later compilations.
-func (s *System) compileQueryView(module, goals string) (string, []string, *plan.Program, error) {
+// system lock and returns its call and the immutable program view a
+// snapshot machine may execute without racing later compilations.
+func (s *System) compileQueryView(module, goals string) (queryCall, *plan.Program, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensure(); err != nil {
-		return "", nil, nil, err
+		return queryCall{}, nil, err
 	}
-	id, vars, err := s.prepareQuery(module, goals)
+	q, err := s.prepareQuery(module, goals)
 	if err != nil {
-		return "", nil, nil, err
+		return queryCall{}, nil, err
 	}
-	return id, vars, s.progView(), nil
+	return q, s.progView(), nil
 }
 
 // preparedView resolves a Prepared handle under the system lock —
-// re-preparing it if the program was recompiled since — and returns the
-// procedure ID, output variables, and immutable program view.
-func (s *System) preparedView(p *Prepared) (string, []string, *plan.Program, error) {
+// re-preparing it if the program was recompiled since — and returns its
+// call and the immutable program view.
+func (s *System) preparedView(p *Prepared) (queryCall, *plan.Program, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.ensure(); err != nil {
-		return "", nil, nil, err
+		return queryCall{}, nil, err
 	}
-	if p.gen != s.gen {
-		id, vars, err := s.prepareQuery(p.module, p.goals)
-		if err != nil {
-			return "", nil, nil, err
-		}
-		p.id, p.vars, p.gen = id, vars, s.gen
+	if err := s.refresh(p); err != nil {
+		return queryCall{}, nil, err
 	}
-	return p.id, p.vars, s.progView(), nil
+	return p.q, s.progView(), nil
 }
